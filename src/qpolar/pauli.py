@@ -16,9 +16,12 @@ absorbs.)  Any symplectic change of basis would give an equally valid
 dictionary; this letterwise one is the package-wide convention.
 
 The independent route that grounds the dictionary is ExactMatrix:
-literal Kronecker products over the Gaussian integers (entries are
-pairs of Python ints, never floats), where "commuting" means the
-commutator is exactly the zero matrix.
+literal Kronecker products of the four single-qubit matrices over the
+Gaussian integers, where "commuting" means AB and BA are exactly equal.
+Pauli tensor products are monomial (one unit of {1, i, -1, -i} per row
+and column), so rows are stored as (column, exponent of i mod 4) and
+products add exponents exactly.  The matrices come from literal 2x2
+tables, never from x/z bits, so the oracle is independent of the form.
 """
 
 from __future__ import annotations
@@ -93,84 +96,80 @@ def commutes(p: str, q: str) -> bool:
     return sp_form(u, v) == 0
 
 
-class ExactMatrix:
-    """A square matrix over the Gaussian integers.
+# i**k for k = 0..3 as (re, im) pairs: the four units of the Gaussian integers
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-    Stored as two parallel tuples-of-tuples of Python ints (real and
-    imaginary parts), so all arithmetic is exact at any size.
+
+class ExactMatrix:
+    """A square monomial matrix over the Gaussian integers with unit entries.
+
+    Row r holds its only nonzero entry, i**phases[r], in column cols[r];
+    ``re`` and ``im`` are dense views of the real and imaginary parts.
     """
 
-    __slots__ = ("dim", "re", "im")
+    __slots__ = ("cols", "phases")
 
     def __init__(self, re, im):
-        re = tuple(tuple(row) for row in re)
-        im = tuple(tuple(row) for row in im)
+        re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
         dim = len(re)
-        if len(im) != dim or any(len(row) != dim for row in re) or any(len(row) != dim for row in im):
+        if len(im) != dim or any(len(row) != dim for row in re + im):
             raise ValueError("real and imaginary parts must be square and congruent")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        rows = [[(j, e) for j, e in enumerate(zip(*parts)) if e != (0, 0)] for parts in zip(re, im)]
+        units = [row[0] for row in rows if len(row) == 1 and row[0][1] in _UNITS]
+        if len({j for j, _ in units}) != dim:
+            raise ValueError("not monomial: every row and column needs one entry in {1, i, -1, -i}")
+        object.__setattr__(self, "cols", tuple(j for j, _ in units))
+        object.__setattr__(self, "phases", tuple(_UNITS.index(e) for _, e in units))
+
+    @classmethod
+    def _from_rows(cls, cols: tuple[int, ...], phases: tuple[int, ...]) -> "ExactMatrix":
+        m = object.__new__(cls)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "phases", phases)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    @property
+    def dim(self) -> int:
+        return len(self.cols)
+
+    @property
+    def re(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.entry(i, j)[0] for j in range(self.dim)) for i in range(self.dim))
+
+    @property
+    def im(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.entry(i, j)[1] for j in range(self.dim)) for i in range(self.dim))
+
     def entry(self, i: int, j: int) -> tuple[int, int]:
-        return self.re[i][j], self.im[i][j]
+        return _UNITS[self.phases[i]] if self.cols[i] == j else (0, 0)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.cols == other.cols and self.phases == other.phases
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.re) and not any(any(row) for row in self.im)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        re = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.re, other.re)]
-        im = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.im, other.im)]
-        return ExactMatrix(re, im)
+        return hash((self.cols, self.phases))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
-        new_re = []
-        new_im = []
-        for a_re_row, a_im_row in zip(self.re, self.im):
-            racc = [0] * self.dim
-            iacc = [0] * self.dim
-            for ar, ai, b_re_row, b_im_row in zip(a_re_row, a_im_row, other.re, other.im):
-                if ar == 0 and ai == 0:
-                    continue
-                racc = [acc + ar * br - ai * bi for acc, br, bi in zip(racc, b_re_row, b_im_row)]
-                iacc = [acc + ar * bi + ai * br for acc, br, bi in zip(iacc, b_re_row, b_im_row)]
-            new_re.append(racc)
-            new_im.append(iacc)
-        return ExactMatrix(new_re, new_im)
+        b_cols, b_phases = other.cols, other.phases
+        return ExactMatrix._from_rows(
+            tuple([b_cols[c] for c in self.cols]),
+            tuple([(p + b_phases[c]) & 3 for c, p in zip(self.cols, self.phases)]),
+        )
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product with self as the outer (left) factor."""
-        d1, d2 = self.dim, other.dim
-        dim = d1 * d2
-        re = [[0] * dim for _ in range(dim)]
-        im = [[0] * dim for _ in range(dim)]
-        for i0 in range(d1):
-            for j0 in range(d1):
-                ar, ai = self.re[i0][j0], self.im[i0][j0]
-                if ar == 0 and ai == 0:
-                    continue
-                for i1 in range(d2):
-                    for j1 in range(d2):
-                        br, bi = other.re[i1][j1], other.im[i1][j1]
-                        re[i0 * d2 + i1][j0 * d2 + j1] = ar * br - ai * bi
-                        im[i0 * d2 + i1][j0 * d2 + j1] = ar * bi + ai * br
-        return ExactMatrix(re, im)
+        d2 = other.dim
+        return ExactMatrix._from_rows(
+            tuple([a * d2 + b for a in self.cols for b in other.cols]),
+            tuple([(a + b) & 3 for a in self.phases for b in other.phases]),
+        )
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim})"
@@ -200,11 +199,11 @@ def pauli_matrix(word: str) -> ExactMatrix:
 
 
 def commutes_matrix(p: str, q: str) -> bool:
-    """Brute-force commutation: AB - BA is exactly the zero matrix."""
+    """Brute-force commutation: the exact products AB and BA are equal."""
     if len(p) != len(q):
         raise DimensionMismatch(f"words of length {len(p)} and {len(q)} cannot be compared")
     a, b = pauli_matrix(p), pauli_matrix(q)
-    return (a @ b - b @ a).is_zero
+    return a @ b == b @ a
 
 
 def commutation_sweep(n_qubits: int) -> tuple[int, int]:

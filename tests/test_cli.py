@@ -1,9 +1,14 @@
 """End-to-end CLI tests: output shapes, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qpolar
 from qpolar import canonical_json, run_verification
 from qpolar.cli import main
 
@@ -39,17 +44,18 @@ def test_verify_n4(capsys):
 
 
 def test_verify_with_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "3", "--oracle", "--format", "json")
-    assert code == 0
-    by_name = {c["name"]: c for c in json.loads(out)["data"]}
-    assert by_name["oracle_pairs_checked"]["actual"] == 3969
-    assert by_name["oracle_mismatches"]["actual"] == 0
+    for n, pairs in [(3, 3969), (4, 65025)]:
+        code, out, _ = run(capsys, "verify", str(n), "--oracle", "--format", "json")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["data"]}
+        assert by_name["oracle_pairs_checked"]["actual"] == pairs
+        assert by_name["oracle_mismatches"]["actual"] == 0
 
 
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "5")[0] == 2
     assert run(capsys, "verify", "0")[0] == 2
-    assert run(capsys, "verify", "4", "--oracle")[0] == 2
+    assert run(capsys, "verify", "5", "--oracle")[0] == 2
     code, _, err = run(capsys, "verify", "x")
     assert code == 2 and err
 
@@ -211,9 +217,29 @@ def test_commute_usage_errors(capsys):
     assert run(capsys, "commute", "X", "XX")[0] == 2
     assert run(capsys, "commute", "II", "XX")[0] == 2
     seven = "X" * 7
-    assert run(capsys, "commute", seven, seven, "--oracle")[0] == 2
+    code, out, err = run(capsys, "commute", seven, seven, "--oracle")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "capped" in err
     assert run(capsys, "commute", seven, seven)[0] == 0  # symplectic route has headroom
 
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate", "2")[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def qpolar_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qpolar", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    done = qpolar_m("commute", "XX", "ZZ", "--oracle")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "commute\nmatrix: commute\nagreement: yes\n", ""
+    )
+    done = qpolar_m("commute", "XA", "ZI")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and "'A'" in done.stderr

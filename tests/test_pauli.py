@@ -57,6 +57,41 @@ def equal_mod_phase(a, b):
     return any(times_i(a, k) == b for k in range(4))
 
 
+# Dense Gaussian-integer arithmetic on rows of (re, im) entries, read
+# through the .re/.im views: the reference that the monomial @ and kron
+# are compared against, and the home of sums that are not monomial.
+def dense(m):
+    return tuple(tuple(zip(re_row, im_row)) for re_row, im_row in zip(m.re, m.im))
+
+
+def gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def dense_matmul(a, b):
+    n = range(len(a))
+
+    def entry(i, j):
+        terms = [gmul(a[i][k], b[k][j]) for k in n]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    return tuple(tuple(entry(i, j) for j in n) for i in n)
+
+
+def dense_kron(a, b):
+    d = len(b)
+    n = range(len(a) * d)
+    return tuple(tuple(gmul(a[i // d][j // d], b[i % d][j % d]) for j in n) for i in n)
+
+
+def dense_sub(a, b):
+    return tuple(tuple((x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_is_zero(a):
+    return all(e == (0, 0) for row in a for e in row)
+
+
 def nonidentity_words(n):
     return [w for w in all_words(n) if set(w) != {"I"}]
 
@@ -111,14 +146,45 @@ def test_exact_matrix_basics():
     y = pauli_matrix("Y")
     assert y.re == ((0, 0), (0, 0))
     assert y.im == ((0, -1), (1, 0))
-    assert (y - y).is_zero
-    assert not (y - ident).is_zero
+    assert dense_is_zero(dense_sub(dense(y), dense(y)))
+    assert not dense_is_zero(dense_sub(dense(y), dense(ident)))
     with pytest.raises(ValueError):
         ExactMatrix(((1, 0),), ((0, 0), (0, 0)))
     with pytest.raises(DimensionMismatch):
         ident @ pauli_matrix("XX")
     with pytest.raises(AttributeError):
         ident.dim = 3
+
+
+@pytest.mark.parametrize(
+    "re,im",
+    [
+        (((1, 1), (0, 1)), ((0, 0), (0, 0))),  # two entries in row 0
+        (((0, 0), (0, 1)), ((0, 0), (0, 0))),  # empty row 0
+        (((1, 0), (1, 0)), ((0, 0), (0, 0))),  # two entries in column 0
+        (((2, 0), (0, 1)), ((0, 0), (0, 0))),  # 2 is not a unit
+        (((1, 0), (0, 1)), ((1, 0), (0, 0))),  # nor is 1 + i
+    ],
+)
+def test_exact_matrix_rejects_non_monomial_or_non_unit(re, im):
+    with pytest.raises(ValueError):
+        ExactMatrix(re, im)
+
+
+def test_monomial_arithmetic_matches_dense():
+    # Pauli column maps are XOR masks, which compose in either order, so
+    # two monomial matrices that are not Pauli products join the words
+    phase_gate = ExactMatrix(((1, 0), (0, 0)), ((0, 0), (0, 1)))
+    cycle = ExactMatrix(
+        ((0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+        ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (-1, 0, 0, 0)),
+    )
+    matrices = [pauli_matrix(w) for n in (1, 2) for w in all_words(n)] + [phase_gate, cycle]
+    for a in matrices:
+        for b in matrices:
+            assert dense(a.kron(b)) == dense_kron(dense(a), dense(b))
+            if a.dim == b.dim:
+                assert dense(a @ b) == dense_matmul(dense(a), dense(b))
 
 
 def test_pauli_matrix_xz_golden():
@@ -158,8 +224,8 @@ def test_commutes_matrix_goldens():
     assert commutes_matrix("ZZ", "XX")
     # the commutator of X and Y is exactly 2iZ
     x, y, z = pauli_matrix("X"), pauli_matrix("Y"), pauli_matrix("Z")
-    commutator = x @ y - y @ x
-    doubled_iz = ExactMatrix(((0, 0), (0, 0)), ((2, 0), (0, -2)))
+    commutator = dense_sub(dense(x @ y), dense(y @ x))
+    doubled_iz = (((0, 2), (0, 0)), ((0, 0), (0, -2)))
     assert commutator == doubled_iz
     assert times_i(z, 1).im == ((1, 0), (0, -1))
     with pytest.raises(DimensionMismatch):
@@ -220,15 +286,8 @@ def test_oracle_equivalence_sweep_small(n, pairs):
     assert commutation_sweep(n) == (pairs, 0)
 
 
-def test_oracle_equivalence_n4_random_pairs():
-    rng = random.Random(SEED)
-    words = nonidentity_words(4)
-    mismatches = 0
-    for _ in range(100_000):
-        p, q = rng.choice(words), rng.choice(words)
-        if commutes(p, q) != commutes_matrix(p, q):
-            mismatches += 1
-    assert mismatches == 0
+def test_oracle_equivalence_sweep_n4():
+    assert commutation_sweep(4) == (65025, 0)
 
 
 def test_commutation_sweep_cap():
