@@ -66,9 +66,20 @@ from .pauli import (
     validate_word,
     vector_to_pauli,
 )
-from .cli import Check, VerificationReport, canonical_json, main, run_verification
+from .verify import Check, VerificationReport, run_verification
 
 __version__ = "0.1.0"
+
+
+# cli is imported on first use (PEP 562), so ``python -m qpolar.cli`` does
+# not find it already in sys.modules and runpy has nothing to warn about
+def __getattr__(name: str):
+    if name in ("canonical_json", "main"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CapacityError",

@@ -19,94 +19,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError, QPolarError
 from .geometry import (
+    MAX_SPREAD_FULL_ENUM_QUBITS,
     desarguesian_spread,
     enumerate_generators,
     enumerate_spreads,
-    params,
 )
-from .gf2 import all_points, perp_census, span_points
-from .pauli import (
-    commutation_sweep,
-    commutes,
-    commutes_matrix,
-    mcs_of_generator,
-    vector_to_pauli,
-)
+# span_points is unused here but stays importable from cli, where the
+# tracer test in bench/test_bench.py looks for a re-bound name
+from .gf2 import all_points, span_points  # noqa: F401
+from .pauli import commutes, commutes_matrix, mcs_of_generator, vector_to_pauli
+from .verify import run_verification
 
 MAX_VERIFY_QUBITS = 4
 MAX_GRAPH_QUBITS = 3
-
-
-@dataclass(frozen=True)
-class Check:
-    """One named count with its closed-formula expectation."""
-
-    name: str
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.ok,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    n_qubits: int
-    checks: tuple[Check, ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
-    """Recount everything the formulas predict, by actual enumeration.
-
-    The check names are the report's stable identifiers; downstream
-    scripts key on them.
-    """
-    p = params(n_qubits)
-    checks: list[Check] = []
-
-    point_total = sum(1 for _ in all_points(n_qubits))
-    checks.append(Check("eq1_point_count", p.point_count, point_total))
-
-    gens = enumerate_generators(n_qubits)
-    checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
-
-    sizes = {len(span_points(g)) for g in gens}
-    size_actual = sizes.pop() if len(sizes) == 1 else -1
-    checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
-
-    try:
-        blocks = len(desarguesian_spread(n_qubits).blocks)
-    except DomainError:
-        blocks = -1
-    checks.append(Check("eq3_spread_partition", p.spread_size, blocks))
-
-    censuses = {perp_census(pt)[1] for pt in all_points(n_qubits)}
-    census_actual = censuses.pop() if len(censuses) == 1 else -1
-    checks.append(Check("eq5_non_perp_census", p.non_perp_count, census_actual))
-
-    if oracle:
-        pairs, mismatches = commutation_sweep(n_qubits)
-        checks.append(Check("oracle_pairs_checked", p.point_count**2, pairs))
-        checks.append(Check("oracle_mismatches", 0, mismatches))
-
-    return VerificationReport(n_qubits, tuple(checks))
 
 
 def canonical_json(payload) -> str:
@@ -138,7 +66,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    blocks = [_block_words(g) for g in enumerate_generators(args.n_qubits)]
+    # one string per distinct word while every block is held for output:
+    # N=4 renders 34,425 words, of which 255 are distinct
+    words: dict[str, str] = {}
+    blocks = [
+        [words.setdefault(w, w) for w in _block_words(g)]
+        for g in enumerate_generators(args.n_qubits)
+    ]
     if args.format == "json":
         _emit_json(args.n_qubits, "generators", blocks)
     else:
@@ -157,8 +91,10 @@ def cmd_spread(args) -> int:
         spreads = [desarguesian_spread(n)]
     else:
         if args.all:
-            if n > 2:
-                raise CapacityError("--all (full enumeration) is capped at N<=2")
+            if n > MAX_SPREAD_FULL_ENUM_QUBITS:
+                raise CapacityError(
+                    f"--all (full enumeration) is capped at N<={MAX_SPREAD_FULL_ENUM_QUBITS}"
+                )
             spreads = enumerate_spreads(n, limit=None)
         else:
             limit = 1 if args.limit is None else args.limit
@@ -231,7 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spread", help="print spreads as blocks of operators")
     p.add_argument("n_qubits", type=int)
     p.add_argument("--method", choices=("desarguesian", "search"), default="desarguesian")
-    p.add_argument("--all", action="store_true", help="search: enumerate every spread (N <= 2)")
+    p.add_argument(
+        "--all",
+        action="store_true",
+        help=f"search: enumerate every spread (N <= {MAX_SPREAD_FULL_ENUM_QUBITS})",
+    )
     p.add_argument("--limit", type=int, help="search: stop after this many spreads")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_spread)

@@ -37,7 +37,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, sp_form, span_points
+from .gf2 import Subspace, SymplecticVector, sp_form
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -77,15 +77,18 @@ def pauli_to_vector(word: str) -> SymplecticVector:
     return SymplecticVector(n, x, z)
 
 
+def _key_to_word(key: int, n: int) -> str:
+    """The word of the packed point key = (x << n) | z, qubit 1 leftmost."""
+    # z keeps the x-part above bit n, but the shifts below never reach it
+    x, z = key >> n, key
+    return "".join([_XZ_TO_LETTER[(x >> s) & 1, (z >> s) & 1] for s in range(n - 1, -1, -1)])
+
+
 def vector_to_pauli(v: SymplecticVector) -> str:
     """Inverse of pauli_to_vector."""
     if v.is_zero:
         raise ZeroVectorError("the zero vector corresponds to the excluded identity")
-    letters = []
-    for k in range(v.n):
-        shift = v.n - 1 - k
-        letters.append(_XZ_TO_LETTER[(v.x >> shift) & 1, (v.z >> shift) & 1])
-    return "".join(letters)
+    return _key_to_word(v.key, v.n)
 
 
 def commutes(p: str, q: str) -> bool:
@@ -228,11 +231,14 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     """The maximally commuting operator set carried by a generator.
 
     The result is the generator's 2^N - 1 points as words, ascending in
-    point order.  Maximality is checked via the form (no outside point
-    is perpendicular to the whole block) by is_maximal_isotropic, which
-    also confirms the equivalent rank-N characterization.
+    point order.  Maximality is is_maximal_isotropic's rank-N check; no
+    point scan runs here.  The span is built and rendered on packed keys.
     """
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-    pts = sorted(span_points(g), key=lambda v: v.key)
-    return [vector_to_pauli(v) for v in pts]
+    keys = [0]
+    for row in g.basis:
+        rk = row.key
+        keys += [k ^ rk for k in keys]
+    keys.sort()
+    return [_key_to_word(k, g.n) for k in keys[1:]]

@@ -243,3 +243,18 @@ def test_python_dash_m_runs_the_cli():
     done = qpolar_m("commute", "XA", "ZI")
     assert (done.returncode, done.stdout) == (2, "")
     assert len(done.stderr.splitlines()) == 1 and "'A'" in done.stderr
+
+
+def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python(*argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    done = python("-m", "qpolar.cli", "commute", "XX", "ZZ")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "commute\n", "")
+    done = python("-c", "from qpolar import main, run_verification; print(run_verification(1).overall)")
+    assert (done.returncode, done.stdout) == (0, "True\n")
+    done = python("-c", "import sys, qpolar; print('qpolar.cli' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")

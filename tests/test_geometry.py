@@ -9,6 +9,7 @@ from qpolar import (
     DimensionMismatch,
     DomainError,
     Spread,
+    Subspace,
     SymplecticVector,
     all_points,
     desarguesian_spread,
@@ -102,9 +103,27 @@ def test_is_maximal_isotropic():
         is_maximal_isotropic(rref([x, z]))
 
 
+def _extending_point(s, points):
+    """A point outside s perpendicular to all of s, by a literal scan; None if none."""
+    for q in points:
+        if all(sp_form(q, b) == 0 for b in s.basis) and not s.contains(q):
+            return q
+    return None
+
+
 def test_maximality_scan_matches_rank_everywhere():
-    for g in enumerate_generators(3):
-        assert is_maximal_isotropic(g)
+    for n in range(1, 5):
+        points = list(all_points(n))
+        for g in enumerate_generators(n):
+            assert _extending_point(g, points) is None
+            assert is_maximal_isotropic(g)
+            if n > 3:
+                continue
+            # dropping a basis row leaves a reduced rank-(N-1) isotropic basis
+            for i in range(n):
+                s = Subspace(n, g.basis[:i] + g.basis[i + 1:])
+                assert _extending_point(s, points) is not None
+                assert not is_maximal_isotropic(s)
 
 
 def _check_partition_directly(spread, n):
