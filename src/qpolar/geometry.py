@@ -9,11 +9,12 @@ Counting targets (the five identities every run verifies):
     eq5  non-perpendicular 2^(2N-1)   (per point)
 
 Generators (maximal totally isotropic subspaces, vector rank N) are
-enumerated by depth-first extension of reduced-row-echelon bases: each
-new row must carry a pivot strictly right of the previous one, keep
-every earlier row zero at that pivot, and pair to zero under the form
-with all earlier rows.  Every generator is therefore produced from its
-unique RREF exactly once, in a fixed order, with no dedup pass.
+enumerated depth-first over reduced-row-echelon bases of packed keys.
+Each node holds the candidate rows perpendicular to every chosen row and
+pivoted strictly right of the last one; a child keeps the rest of that
+list that pairs to zero with the newest row, and skips pivots already
+set in a chosen row.  Every generator thus comes from its unique RREF
+exactly once, in a fixed order, with no dedup pass.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively for any N <= 5 from the
@@ -21,10 +22,9 @@ field plane GF(2^N) x GF(2^N) (the lines through the origin transported
 to standard coordinates via the trace-dual basis); exhaustive spread
 search is an exact-cover problem over (points x generators).
 
-Enumeration confirms the counting identities exactly for every N it
-can reach (N <= 4 for generators, N <= 3 for censuses); for larger N
-the closed formulas are used as predictions, and params() reports them
-without claiming an independent recount.
+Enumeration confirms the counting identities exactly for N <= 4; for
+larger N the closed formulas are used as predictions, and params()
+reports them without claiming an independent recount.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ def params(n_qubits: int) -> PolarSpaceParams:
     )
 
 
-def _form_keys(a: int, b: int, n: int) -> int:
-    # the shifted x-part has only n bits, so the AND already ignores the
-    # other key's x-part
-    return (((a >> n) & b).bit_count() + (a & (b >> n)).bit_count()) & 1
-
-
 def enumerate_generators(n_qubits: int) -> list[Subspace]:
     """Every rank-N totally isotropic subspace, once, in canonical order.
 
@@ -102,29 +96,34 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
             f"N={n} was requested{detail}"
         )
 
-    two_n = 2 * n
     mask = (1 << n) - 1
     out: list[Subspace] = []
     rows: list[int] = []
 
-    def extend(min_pivot: int) -> None:
-        if len(rows) == n:
-            basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in rows)
-            out.append(Subspace(n, basis))
-            return
-        # leave room for the remaining pivots
-        for pivot in range(min_pivot, two_n - (n - len(rows) - 1)):
-            lead = 1 << (two_n - 1 - pivot)
-            if any(r & lead for r in rows):
-                continue
-            for free in range(lead):
-                cand = lead | free
-                if all(_form_keys(cand, r, n) == 0 for r in rows):
+    def extend(cands: list[int], used: int) -> None:
+        # cands: perpendicular to all rows, below the last pivot, lead-bit-major then ascending
+        left = n - len(rows)
+        room = 1 << (left - 1)  # leave room for the remaining pivots
+        i, end = 0, len(cands)
+        while i < end and cands[i] >= room:
+            lead = 1 << (cands[i].bit_length() - 1)
+            j = i + 1
+            while j < end and cands[j] >= lead:
+                j += 1
+            if not used & lead:  # earlier rows must be zero at this pivot
+                rest = cands[j:]
+                for cand in cands[i:j]:
                     rows.append(cand)
-                    extend(pivot + 1)
+                    if left == 1:
+                        basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in rows)
+                        out.append(Subspace(n, basis))
+                    else:
+                        swapped = ((cand & mask) << n) | (cand >> n)
+                        extend([k for k in rest if not (k & swapped).bit_count() & 1], used | cand)
                     rows.pop()
+            i = j
 
-    extend(0)
+    extend([k for b in range(2 * n, 0, -1) for k in range(1 << (b - 1), 1 << b)], 0)
     return out
 
 

@@ -184,15 +184,19 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     return Subspace(n, basis)
 
 
-def span_points(s: Subspace) -> set[SymplecticVector]:
-    """All 2^rank - 1 nonzero vectors in the span of the basis."""
-    keys = {0}
+def _span_keys(s: Subspace) -> list[int]:
+    """Packed keys of the 2^rank - 1 nonzero span vectors (distinct, as rows are independent)."""
+    keys = [0]
     for row in s.basis:
         rk = row.key
-        keys |= {k ^ rk for k in keys}
-    keys.discard(0)
+        keys += [k ^ rk for k in keys]
+    return keys[1:]
+
+
+def span_points(s: Subspace) -> set[SymplecticVector]:
+    """All 2^rank - 1 nonzero vectors in the span of the basis."""
     mask = (1 << s.n) - 1
-    return {SymplecticVector(s.n, k >> s.n, k & mask) for k in keys}
+    return {SymplecticVector(s.n, k >> s.n, k & mask) for k in _span_keys(s)}
 
 
 def is_totally_isotropic(s: Subspace) -> bool:
@@ -216,8 +220,10 @@ def perp_census(p: SymplecticVector) -> tuple[int, int]:
     """
     if p.is_zero:
         raise ZeroVectorError("the zero vector is not a point of the space")
+    # sp_form(p, q) is the parity of q.key & p's key with halves exchanged
+    swapped = (p.z << p.n) | p.x
     non_perp = 0
-    for q in all_points(p.n):
-        non_perp += sp_form(p, q)
+    for key in range(1, 1 << (2 * p.n)):
+        non_perp += (key & swapped).bit_count() & 1
     total_others = (1 << (2 * p.n)) - 2
     return total_others - non_perp, non_perp

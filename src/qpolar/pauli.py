@@ -37,7 +37,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, sp_form
+from .gf2 import Subspace, SymplecticVector, _span_keys, sp_form
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -236,9 +236,4 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     """
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-    keys = [0]
-    for row in g.basis:
-        rk = row.key
-        keys += [k ^ rk for k in keys]
-    keys.sort()
-    return [_key_to_word(k, g.n) for k in keys[1:]]
+    return [_key_to_word(k, g.n) for k in sorted(_span_keys(g))]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import desarguesian_spread, enumerate_generators, params
-from .gf2 import all_points, perp_census, span_points
+from .gf2 import _span_keys, all_points, perp_census
 from .pauli import commutation_sweep
 
 
@@ -62,7 +62,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     gens = enumerate_generators(n_qubits)
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
 
-    sizes = {len(span_points(g)) for g in gens}
+    sizes = {len(_span_keys(g)) for g in gens}
     size_actual = sizes.pop() if len(sizes) == 1 else -1
     checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
 

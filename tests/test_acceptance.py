@@ -87,11 +87,11 @@ def test_criterion_4_spread_partitions():
 
 def test_criterion_5_non_perp_census():
     bad = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         want = 1 << (2 * n - 1)
         bad += sum(1 for p in all_points(n) if perp_census(p)[1] != want)
     ok = bad == 0
-    report(5, ok, f"{bad} points with a census off 2^(2N-1) across N<=3")
+    report(5, ok, f"{bad} points with a census off 2^(2N-1) across N<=4")
 
 
 def test_criterion_6_oracle_equivalence():

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output shapes, exit codes, JSON round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -258,3 +259,32 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
     assert (done.returncode, done.stdout) == (0, "True\n")
     done = python("-c", "import sys, qpolar; print('qpolar.cli' in sys.modules)")
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+# sha256 of stdout and the exit code of each invocation, captured at commit
+# 117794f, before the generator DFS, perp_census and the span helper moved
+# onto packed keys: a change of internal representation must leave every
+# byte of output alone.
+OUTPUT_GOLDENS = [
+    ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
+    ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
+    ("verify 2", 0, "97046770f5f65806a835891b8dfa21a93fcce2b42ae5ea3da3963dde8112bd4d"),
+    ("verify 2 --format json", 0, "acd84332350ed05f7dee18d12b84f4b4047d060e1f7aa19ef7772d4cd10e0fc3"),
+    ("verify 3", 0, "abc889e3c58079a7a75b1b677588e8e5f0e35c59a3ec79444d77c4fd1b6420f1"),
+    ("verify 3 --format json", 0, "d5ab35be29c7d4788efa0cc0ffd1dcc4f992f73661c11b9121977830e9c48efb"),
+    ("verify 4", 0, "5bc942aac078cae1638e2a15924de9e38f8049f464857387caef91d0884ca8a6"),
+    ("verify 4 --format json", 0, "6e6a157c6cad0c6be79ad5af02fdaf456924e877ff50a207d2038e3148cb1883"),
+    ("generators 1 --format json", 0, "9bf1135b23c9c6844bd3ba0e01b3fb71f4a4cd16e8dcee526209aea62dca0c01"),
+    ("generators 2 --format json", 0, "8dd39dd4deaf28e2b13fa4768aedd30a2aa8928d924ea3dea022a018d1b56504"),
+    ("generators 3 --format json", 0, "fb1df20205feb3355745bb9af01cba077f0795e623a881d7611a5eb62f8ee21d"),
+    ("generators 4 --format json", 0, "36c4b729e7d163e588d3f8c6bb3aba003762c7231fb139250aeb237f8686c0ab"),
+    ("spread 3", 0, "1ae266c618060118aed9c39ca3461048067d9c79b1130fc2a87a3ef7087b74f7"),
+    ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),
+    ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
+]
+
+
+@pytest.mark.parametrize("argv,code,sha256", OUTPUT_GOLDENS, ids=[a for a, _, _ in OUTPUT_GOLDENS])
+def test_output_matches_golden_digest(capsys, argv, code, sha256):
+    got_code, out, _ = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)

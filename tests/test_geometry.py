@@ -1,7 +1,5 @@
 """Counting formulas, generator enumeration, spreads, and the GQ(2,2) audit."""
 
-import random
-
 import pytest
 
 from qpolar import (
@@ -23,8 +21,6 @@ from qpolar import (
     span_points,
     sp_form,
 )
-
-SEED = 20260826
 
 
 @pytest.mark.parametrize(
@@ -71,8 +67,40 @@ def test_generators_n1_canonical_order():
     ]
 
 
+def _reference_generator_bases(n):
+    """The filter-every-candidate DFS on vectors: each new row takes a pivot
+    right of the last, earlier rows are zero there, and every candidate with
+    that pivot is tested by sp_form against every earlier row."""
+    points = list(all_points(n))
+    out = []
+    rows = []
+
+    def extend(min_pivot):
+        if len(rows) == n:
+            out.append(tuple(rows))
+            return
+        for pivot in range(min_pivot, 2 * n):
+            lead = 1 << (2 * n - 1 - pivot)
+            if any(r.key & lead for r in rows):
+                continue
+            for key in range(lead, 2 * lead):
+                v = points[key - 1]
+                if all(sp_form(v, r) == 0 for r in rows):
+                    rows.append(v)
+                    extend(pivot + 1)
+                    rows.pop()
+
+    extend(0)
+    return out
+
+
+def test_generator_order_matches_reference_dfs():
+    for n in range(1, 5):
+        assert [g.basis for g in enumerate_generators(n)] == _reference_generator_bases(n)
+
+
 def test_generators_are_valid_and_distinct():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         gens = enumerate_generators(n)
         assert len(gens) == params(n).generator_count
         assert len({g.sort_key() for g in gens}) == len(gens)
@@ -216,14 +244,13 @@ def test_enumerate_spreads_n3_needs_limit():
 
 
 def test_spread_blocks_closed_under_addition():
-    rng = random.Random(SEED)
     for spread in (desarguesian_spread(2), desarguesian_spread(3), enumerate_spreads(3, limit=1)[0]):
         for block in spread.blocks:
-            pts = list(span_points(block))
-            for _ in range(20):
-                p, q = rng.choice(pts), rng.choice(pts)
-                if p != q:
-                    assert (p ^ q) in set(pts)
+            pts = span_points(block)
+            for p in pts:
+                for q in pts:
+                    if p != q:
+                        assert (p ^ q) in pts
 
 
 def test_gq22_structure():

@@ -192,10 +192,19 @@ def test_is_totally_isotropic():
     assert not is_totally_isotropic(rref([x, z]))
 
 
-@pytest.mark.parametrize("n,census", [(1, (0, 2)), (2, (6, 8)), (3, (30, 32))])
+@pytest.mark.parametrize("n,census", [(1, (0, 2)), (2, (6, 8)), (3, (30, 32)), (4, (126, 128))])
 def test_perp_census(n, census):
     for p in all_points(n):
         assert perp_census(p) == census
+
+
+def test_perp_census_matches_sp_form_scan():
+    for n in (1, 2, 3):
+        pts = list(all_points(n))
+        for p in pts:
+            non_perp = sum(sp_form(p, q) for q in pts)
+            perp = sum(1 for q in pts if q != p and sp_form(p, q) == 0)
+            assert perp_census(p) == (perp, non_perp)
 
 
 def test_perp_census_rejects_zero():
