@@ -11,6 +11,7 @@ exact Gaussian-integer matrices.
 """
 
 from .errors import (
+    CAPS,
     CapacityError,
     DimensionMismatch,
     DomainError,
@@ -20,7 +21,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .gf2 import (
-    MAX_QUBITS,
     Subspace,
     SymplecticVector,
     all_points,
@@ -54,7 +54,6 @@ from .geometry import (
     params,
 )
 from .pauli import (
-    MAX_ORACLE_QUBITS,
     ExactMatrix,
     all_words,
     commutation_sweep,
@@ -70,6 +69,9 @@ from .verify import Check, VerificationReport, run_verification
 
 __version__ = "0.1.0"
 
+MAX_QUBITS = CAPS["qubit count"]
+MAX_ORACLE_QUBITS = CAPS["matrix oracle"]
+
 
 # cli is imported on first use (PEP 562), so ``python -m qpolar.cli`` does
 # not find it already in sys.modules and runpy has nothing to warn about
@@ -82,6 +84,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "CAPS",
     "CapacityError",
     "Check",
     "DimensionMismatch",

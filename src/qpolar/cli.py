@@ -20,21 +20,13 @@ import argparse
 import json
 import sys
 
-from .errors import CapacityError, DomainError, QPolarError
-from .geometry import (
-    MAX_SPREAD_FULL_ENUM_QUBITS,
-    desarguesian_spread,
-    enumerate_generators,
-    enumerate_spreads,
-)
+from .errors import CAPS, DomainError, QPolarError, check_cap
+from .geometry import desarguesian_spread, enumerate_generators, enumerate_spreads
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
 from .gf2 import all_points, span_points  # noqa: F401
 from .pauli import commutes, commutes_matrix, mcs_of_generator, vector_to_pauli
 from .verify import run_verification
-
-MAX_VERIFY_QUBITS = 4
-MAX_GRAPH_QUBITS = 3
 
 
 def canonical_json(payload) -> str:
@@ -51,8 +43,6 @@ def _block_words(subspace) -> list[str]:
 
 def cmd_verify(args) -> int:
     n = args.n_qubits
-    if not 1 <= n <= MAX_VERIFY_QUBITS:
-        raise DomainError(f"verify supports 1 <= N <= {MAX_VERIFY_QUBITS}, got {n}")
     report = run_verification(n, oracle=args.oracle)
     if args.format == "json":
         _emit_json(n, "report", [c.to_dict() for c in report.checks])
@@ -89,18 +79,10 @@ def cmd_spread(args) -> int:
         if args.all or args.limit is not None:
             raise DomainError("--all/--limit apply only to --method search")
         spreads = [desarguesian_spread(n)]
+    elif args.all:
+        spreads = enumerate_spreads(n, limit=None)
     else:
-        if args.all:
-            if n > MAX_SPREAD_FULL_ENUM_QUBITS:
-                raise CapacityError(
-                    f"--all (full enumeration) is capped at N<={MAX_SPREAD_FULL_ENUM_QUBITS}"
-                )
-            spreads = enumerate_spreads(n, limit=None)
-        else:
-            limit = 1 if args.limit is None else args.limit
-            spreads = enumerate_spreads(n, limit=limit)
-    for s in spreads:
-        s.validate()
+        spreads = enumerate_spreads(n, limit=1 if args.limit is None else args.limit)
     rendered = [[_block_words(b) for b in s.blocks] for s in spreads]
     if args.format == "json":
         _emit_json(n, "spreads", rendered)
@@ -115,8 +97,7 @@ def cmd_spread(args) -> int:
 
 def cmd_graph(args) -> int:
     n = args.n_qubits
-    if not 1 <= n <= MAX_GRAPH_QUBITS:
-        raise DomainError(f"graph supports 1 <= N <= {MAX_GRAPH_QUBITS}, got {n}")
+    check_cap("graph", n)
     words = sorted(vector_to_pauli(p) for p in all_points(n))
     adjacency = {
         w: [u for u in words if u != w and commutes(w, u)] for w in words
@@ -170,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--all",
         action="store_true",
-        help=f"search: enumerate every spread (N <= {MAX_SPREAD_FULL_ENUM_QUBITS})",
+        help=f"search: enumerate every spread (N <= {CAPS['full spread enumeration']})",
     )
     p.add_argument("--limit", type=int, help="search: stop after this many spreads")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the table of size caps."""
 
 
 class QPolarError(ValueError):
@@ -19,6 +19,31 @@ class IdentityWordError(QPolarError):
 
 class CapacityError(QPolarError):
     """An enumeration or oracle was requested above its supported size cap."""
+
+
+# Every independent size cap, with its measured cost at the cap (CPython 3.11,
+# shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
+# count cap; verify takes the generator enumeration cap, as it enumerates
+# generators (verify 4: about 0.15 s, 1.3 s with --oracle); constructed spreads
+# take max(gf2n.MODULI), the largest degree with a pinned field modulus
+# (desarguesian_spread(5): about 0.12 s).
+CAPS = {
+    "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 1.8 s
+    "generator enumeration": 4,  # enumerate_generators(4): about 0.08 s for 2,295 subspaces
+    "spread search": 3,  # enumerate_spreads(3, limit=1): about 4 ms
+    "full spread enumeration": 2,  # about 1 ms for 6 spreads; all 960 at N=3 take about 0.28 s
+    "matrix oracle": 6,  # commutes_matrix at N=6: about 0.025 ms a pair, cache cold
+    "graph": 3,  # graph 3: about 35 ms for 63 vertices and 945 edges
+}
+
+
+def check_cap(what: str, n: int, detail: str = "", error: type[QPolarError] = CapacityError) -> None:
+    """Raise DimensionMismatch unless n >= 1, and ``error`` if n exceeds ``CAPS[what]``."""
+    if n < 1:
+        raise DimensionMismatch(f"n_qubits must be positive, got {n}")
+    cap = CAPS[what]
+    if n > cap:
+        raise error(f"{what} is capped at N<={cap}; N={n} was requested{detail}")
 
 
 class NotABasisError(QPolarError):

@@ -17,12 +17,14 @@ set in a chosen row.  Every generator thus comes from its unique RREF
 exactly once, in a fixed order, with no dedup pass.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
-points.  One spread is built constructively for any N <= 5 from the
-field plane GF(2^N) x GF(2^N) (the lines through the origin transported
-to standard coordinates via the trace-dual basis); exhaustive spread
-search is an exact-cover problem over (points x generators).
+points.  One spread is built constructively from the field plane
+GF(2^N) x GF(2^N) (the lines through the origin transported to standard
+coordinates via the trace-dual basis) for every N with a pinned modulus
+in gf2n.MODULI, N <= 5; exhaustive spread search is an exact-cover
+problem over (points x generators), with point key k as bit k - 1.
 
-Enumeration confirms the counting identities exactly for N <= 4; for
+Enumeration confirms the counting identities exactly up to the
+generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
 larger N the closed formulas are used as predictions, and params()
 reports them without claiming an independent recount.
 """
@@ -32,22 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2n
-from .errors import CapacityError, DimensionMismatch, DomainError
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, check_cap
 from .gf2 import (
     Subspace,
     SymplecticVector,
+    _span_keys,
+    _swap_halves,
     all_points,
     is_totally_isotropic,
     rref,
     sp_form,
     span_points,
 )
-
-MAX_PARAMS_QUBITS = 12
-MAX_GENERATOR_ENUM_QUBITS = 4
-MAX_SPREAD_CONSTRUCT_QUBITS = 5
-MAX_SPREAD_SEARCH_QUBITS = 3
-MAX_SPREAD_FULL_ENUM_QUBITS = 2
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,7 @@ class PolarSpaceParams:
 
 
 def params(n_qubits: int) -> PolarSpaceParams:
-    if not 1 <= n_qubits <= MAX_PARAMS_QUBITS:
-        raise DimensionMismatch(f"n_qubits must be in 1..{MAX_PARAMS_QUBITS}, got {n_qubits}")
+    check_cap("qubit count", n_qubits, error=DimensionMismatch)
     n = n_qubits
     gen_count = 1
     for i in range(1, n + 1):
@@ -86,17 +83,13 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     row, rows ordered pivot-major then by packed value.
     """
     n = n_qubits
-    if n < 1:
-        raise DimensionMismatch(f"n_qubits must be positive, got {n}")
-    if n > MAX_GENERATOR_ENUM_QUBITS:
-        predicted = params(n).generator_count if n <= MAX_PARAMS_QUBITS else None
-        detail = f" ({predicted} subspaces by the product formula)" if predicted else ""
-        raise CapacityError(
-            f"generator enumeration is capped at N<={MAX_GENERATOR_ENUM_QUBITS}; "
-            f"N={n} was requested{detail}"
-        )
+    detail = ""
+    if CAPS["generator enumeration"] < n <= CAPS["qubit count"]:
+        detail = f" ({params(n).generator_count} subspaces by the product formula)"
+    check_cap("generator enumeration", n, detail)
 
     mask = (1 << n) - 1
+    swapped = [_swap_halves(key, n) for key in range(1 << (2 * n))]
     out: list[Subspace] = []
     rows: list[int] = []
 
@@ -118,8 +111,8 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
                         basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in rows)
                         out.append(Subspace(n, basis))
                     else:
-                        swapped = ((cand & mask) << n) | (cand >> n)
-                        extend([k for k in rest if not (k & swapped).bit_count() & 1], used | cand)
+                        form_key = swapped[cand]
+                        extend([k for k in rest if not (k & form_key).bit_count() & 1], used | cand)
                     rows.pop()
             i = j
 
@@ -144,18 +137,18 @@ def is_maximal_isotropic(s: Subspace) -> bool:
 class Spread:
     """2^N + 1 generators partitioning all 4^N - 1 points.
 
-    Blocks are normalized to canonical order on construction (sorted by
-    each block's smallest point) and all partition invariants are
-    checked; an invalid block set does not construct.
+    All partition invariants are checked on construction, so an invalid
+    block set does not construct; the blocks are then put in canonical
+    order, by each block's smallest point.  That point is the last RREF
+    row: a combination with any other row leads at a higher bit.
     """
 
     n: int
     blocks: tuple[Subspace, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.blocks, key=lambda b: min(p.key for p in span_points(b))))
-        object.__setattr__(self, "blocks", ordered)
         self.validate()
+        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.basis[-1].key)))
 
     def validate(self) -> None:
         """Re-check every spread invariant; raises DomainError on violation."""
@@ -193,10 +186,9 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     n = n_qubits
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")
-    if n > MAX_SPREAD_CONSTRUCT_QUBITS:
-        raise CapacityError(
-            f"constructed spreads are capped at N<={MAX_SPREAD_CONSTRUCT_QUBITS}; N={n} was requested"
-        )
+    cap = max(gf2n.MODULI)  # the field plane exists where a modulus is pinned
+    if n > cap:
+        raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
 
     pair = gf2n.dual_basis(gf2n.polynomial_basis(n))
 
@@ -222,35 +214,24 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
 
     Deterministic: the uncovered point with fewest remaining candidate
     blocks is covered first (ties to the lowest point), candidates tried
-    in canonical generator order.  Full enumeration is supported for
-    N <= 2; N = 3 requires a limit.  Results are returned sorted by
-    canonical form.
+    in canonical generator order.  Without a limit the search is capped
+    by the full spread enumeration entry of errors.CAPS, with one by the
+    spread search entry.  Exact cover with a fixed branching rule reaches
+    each spread by exactly one path, so no spread is found twice; results
+    are returned sorted by canonical form.
     """
     n = n_qubits
-    if n < 1:
-        raise DimensionMismatch(f"n_qubits must be positive, got {n}")
-    if n > MAX_SPREAD_SEARCH_QUBITS:
-        raise CapacityError(f"spread search is capped at N<={MAX_SPREAD_SEARCH_QUBITS}; N={n} was requested")
-    if limit is None and n > MAX_SPREAD_FULL_ENUM_QUBITS:
-        raise CapacityError(
-            f"full spread enumeration is capped at N<={MAX_SPREAD_FULL_ENUM_QUBITS}; "
-            f"pass a limit for N={n}"
-        )
-    if limit is not None and limit < 1:
+    check_cap("spread search", n)
+    if limit is None:
+        check_cap("full spread enumeration", n, " (pass a limit)")
+    elif limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)
-    point_keys = sorted(p.key for p in all_points(n))
-    index_of = {key: i for i, key in enumerate(point_keys)}
-    n_points = len(point_keys)
+    # point key k (1 .. 4^N - 1) is bit k - 1; span keys are distinct, so sum is OR
+    masks = [sum(1 << (k - 1) for k in _span_keys(g)) for g in generators]
+    n_points = (1 << (2 * n)) - 1
     full = (1 << n_points) - 1
-
-    masks = []
-    for g in generators:
-        m = 0
-        for pt in span_points(g):
-            m |= 1 << index_of[pt.key]
-        masks.append(m)
     blocks_through: list[list[int]] = [[] for _ in range(n_points)]
     for b, m in enumerate(masks):
         for i in range(n_points):
@@ -289,8 +270,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     search(0)
 
     spreads = [Spread(n, tuple(generators[b] for b in sol)) for sol in solutions]
-    unique = {s.sort_key(): s for s in spreads}
-    return [unique[k] for k in sorted(unique)]
+    return sorted(spreads, key=Spread.sort_key)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, ZeroVectorError
-
-# One machine word per (x or z) part; enumeration commands cap far lower.
-MAX_QUBITS = 12
+from .errors import DimensionMismatch, ZeroVectorError, check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +44,7 @@ class SymplecticVector:
     z: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DimensionMismatch(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n}")
+        check_cap("qubit count", self.n, error=DimensionMismatch)
         if not 0 <= self.x < (1 << self.n) or not 0 <= self.z < (1 << self.n):
             raise ValueError(f"x/z parts must be {self.n}-bit values")
 
@@ -91,6 +87,14 @@ def all_points(n_qubits: int) -> Iterator[SymplecticVector]:
         yield SymplecticVector(n, key >> n, key & ((1 << n) - 1))
 
 
+def _swap_halves(key: int, n: int) -> int:
+    """The key with its x and z halves exchanged.
+
+    sp_form(u, v) is the parity of ``u.key & _swap_halves(v.key, n)``.
+    """
+    return ((key & ((1 << n) - 1)) << n) | (key >> n)
+
+
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
     """Evaluate the alternating form: parity of u.x & v.z plus u.z & v.x."""
     if u.n != v.n:
@@ -111,8 +115,7 @@ class Subspace:
     basis: tuple[SymplecticVector, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DimensionMismatch(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n}")
+        check_cap("qubit count", self.n, error=DimensionMismatch)
         pivots = []
         for row in self.basis:
             if row.n != self.n:
@@ -220,8 +223,7 @@ def perp_census(p: SymplecticVector) -> tuple[int, int]:
     """
     if p.is_zero:
         raise ZeroVectorError("the zero vector is not a point of the space")
-    # sp_form(p, q) is the parity of q.key & p's key with halves exchanged
-    swapped = (p.z << p.n) | p.x
+    swapped = _swap_halves(p.key, p.n)
     non_perp = 0
     for key in range(1, 1 << (2 * p.n)):
         non_perp += (key & swapped).bit_count() & 1

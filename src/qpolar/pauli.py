@@ -29,22 +29,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _product
 
-from .errors import (
-    CapacityError,
-    DimensionMismatch,
-    DomainError,
-    IdentityWordError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, check_cap
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _span_keys, sp_form
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
-
-# 2^6 x 2^6 is the largest matrix the oracle will build
-MAX_ORACLE_QUBITS = 6
 
 
 def validate_word(word: str) -> str:
@@ -190,11 +181,8 @@ SINGLE_QUBIT = {
 def pauli_matrix(word: str) -> ExactMatrix:
     """The literal 2^N x 2^N matrix of a word, leftmost letter outermost."""
     validate_word(word)
-    if len(word) > MAX_ORACLE_QUBITS:
-        raise CapacityError(
-            f"the matrix oracle is capped at N<={MAX_ORACLE_QUBITS} "
-            f"(2^{len(word)} x 2^{len(word)} requested)"
-        )
+    n = len(word)
+    check_cap("matrix oracle", n, f" (2^{n} x 2^{n} matrices)")
     m = SINGLE_QUBIT[word[0]]
     for ch in word[1:]:
         m = m.kron(SINGLE_QUBIT[ch])
@@ -214,8 +202,7 @@ def commutation_sweep(n_qubits: int) -> tuple[int, int]:
 
     Returns (pairs_checked, mismatches).
     """
-    if n_qubits > MAX_ORACLE_QUBITS:
-        raise CapacityError(f"the matrix oracle is capped at N<={MAX_ORACLE_QUBITS}")
+    check_cap("matrix oracle", n_qubits)  # before all 4^N words are listed
     words = [w for w in all_words(n_qubits) if set(w) != {"I"}]
     pairs = 0
     mismatches = 0

@@ -191,6 +191,8 @@ def test_graph_n3_json_degrees(capsys):
 
 def test_graph_usage_errors(capsys):
     assert run(capsys, "graph", "4")[0] == 2
+    assert run(capsys, "graph", "0")[0] == 2
+    assert run(capsys, "graph", "-1")[0] == 2
     assert run(capsys, "graph", "2", "--format", "xml")[0] == 2
 
 

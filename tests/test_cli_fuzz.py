@@ -1,0 +1,55 @@
+"""Generated command lines: every one exits 0, 1 or 2, never with a traceback."""
+
+import contextlib
+import io
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from qpolar.cli import main  # noqa: E402
+
+N = st.integers(-1, 6).map(str)
+LIMIT = st.integers(-1, 3).map(str)
+WORD = st.text("IXYZ", max_size=13) | st.text(max_size=4)
+
+
+def optional(*strategies):
+    """Either nothing or the drawn tokens, as one list."""
+    return st.just([]) | st.tuples(*strategies).map(list)
+
+
+def fmt(*choices):
+    return optional(st.just("--format"), st.sampled_from(choices))
+
+
+ARGVS = st.one_of(
+    st.tuples(st.just(["verify"]), N.map(lambda n: [n]), optional(st.just("--oracle")), fmt("text", "json")),
+    st.tuples(st.just(["generators"]), N.map(lambda n: [n]), fmt("text", "json")),
+    st.tuples(
+        st.just(["spread"]),
+        N.map(lambda n: [n]),
+        optional(st.just("--method"), st.sampled_from(["desarguesian", "search"])),
+        optional(st.just("--all")),
+        optional(st.just("--limit"), LIMIT),
+        fmt("text", "json"),
+    ),
+    st.tuples(st.just(["graph"]), N.map(lambda n: [n]), fmt("dot", "json")),
+    # "--" ends the options, so a word may start with "-"
+    st.tuples(st.just(["commute"]), optional(st.just("--oracle")), st.tuples(st.just("--"), WORD, WORD).map(list)),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(ARGVS)
+def test_generated_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

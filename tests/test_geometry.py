@@ -108,7 +108,10 @@ def test_generators_are_valid_and_distinct():
         for g in gens:
             assert g.rank == n
             assert is_totally_isotropic(g)
-            assert len(span_points(g)) == (1 << n) - 1
+            keys = [p.key for p in span_points(g)]
+            assert len(keys) == (1 << n) - 1
+            # Spread orders its blocks by this: the last RREF row is the smallest point
+            assert g.basis[-1].key == min(keys)
 
 
 def test_generators_capacity():
@@ -203,6 +206,8 @@ def test_spread_validation_rejects_bad_block_sets():
     not_gen = rref([SymplecticVector(2, 0b10, 0)])
     with pytest.raises(DomainError):
         Spread(2, good.blocks[:-1] + (not_gen,))
+    with pytest.raises(DomainError):
+        Spread(2, good.blocks[:-1] + (rref([], 2),))  # rank 0: no smallest point to order by
 
 
 def test_enumerate_spreads_n1():

@@ -16,6 +16,7 @@ from qpolar import (
     span_points,
     sp_form,
 )
+from qpolar.gf2 import _swap_halves
 
 SEED = 20260826
 
@@ -205,6 +206,15 @@ def test_perp_census_matches_sp_form_scan():
             non_perp = sum(sp_form(p, q) for q in pts)
             perp = sum(1 for q in pts if q != p and sp_form(p, q) == 0)
             assert perp_census(p) == (perp, non_perp)
+
+
+def test_swapped_key_parity_is_the_form():
+    # the census and the generator DFS evaluate the form through this key
+    for n in (1, 2, 3):
+        vecs = [SymplecticVector(n, key >> n, key & ((1 << n) - 1)) for key in range(1 << (2 * n))]
+        for u in vecs:
+            for v in vecs:
+                assert (u.key & _swap_halves(v.key, n)).bit_count() & 1 == sp_form(u, v)
 
 
 def test_perp_census_rejects_zero():
