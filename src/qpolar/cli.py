@@ -24,8 +24,8 @@ from .errors import CAPS, DomainError, QPolarError, check_cap
 from .geometry import desarguesian_spread, enumerate_generators, enumerate_spreads
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
-from .gf2 import all_points, span_points  # noqa: F401
-from .pauli import commutes, commutes_matrix, mcs_of_generator, vector_to_pauli
+from .gf2 import _perp_mask, span_points  # noqa: F401
+from .pauli import _key_to_word, commutes, commutes_matrix, mcs_of_generator
 from .verify import run_verification
 
 
@@ -98,18 +98,19 @@ def cmd_spread(args) -> int:
 def cmd_graph(args) -> int:
     n = args.n_qubits
     check_cap("graph", n)
-    words = sorted(vector_to_pauli(p) for p in all_points(n))
-    adjacency = {
-        w: [u for u in words if u != w and commutes(w, u)] for w in words
-    }
+    points = sorted((_key_to_word(key, n), key) for key in range(1, 1 << (2 * n)))
+    adjacency = []
+    for w, key in points:
+        perp = _perp_mask(key, n) ^ (1 << (key - 1))  # no point is its own neighbour
+        adjacency.append((w, [u for u, k in points if perp >> (k - 1) & 1]))
     if args.format == "json":
-        _emit_json(n, "graph", [[w, adjacency[w]] for w in words])
+        _emit_json(n, "graph", adjacency)
     else:
         print(f"graph commutation_n{n} {{")
-        for w in words:
+        for w, _ in points:
             print(f'  "{w}";')
-        for w in words:
-            for u in adjacency[w]:
+        for w, neighbours in adjacency:
+            for u in neighbours:
                 if w < u:
                     print(f'  "{w}" -- "{u}";')
         print("}")

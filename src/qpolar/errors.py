@@ -28,12 +28,12 @@ class CapacityError(QPolarError):
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
 # (desarguesian_spread(5): about 0.12 s).
 CAPS = {
-    "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 1.8 s
+    "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     "generator enumeration": 4,  # enumerate_generators(4): about 0.08 s for 2,295 subspaces
     "spread search": 3,  # enumerate_spreads(3, limit=1): about 4 ms
     "full spread enumeration": 2,  # about 1 ms for 6 spreads; all 960 at N=3 take about 0.28 s
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.025 ms a pair, cache cold
-    "graph": 3,  # graph 3: about 35 ms for 63 vertices and 945 edges
+    "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }
 
 

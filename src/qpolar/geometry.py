@@ -12,9 +12,9 @@ Generators (maximal totally isotropic subspaces, vector rank N) are
 enumerated depth-first over reduced-row-echelon bases of packed keys.
 Each node holds the candidate rows perpendicular to every chosen row and
 pivoted strictly right of the last one; a child keeps the rest of that
-list that pairs to zero with the newest row, and skips pivots already
-set in a chosen row.  Every generator thus comes from its unique RREF
-exactly once, in a fixed order, with no dedup pass.
+list that lies in the newest row's perpendicular mask, and skips pivots
+already set in a chosen row.  Every generator thus comes from its unique
+RREF exactly once, in a fixed order, with no dedup pass.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -38,12 +38,10 @@ from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, check_c
 from .gf2 import (
     Subspace,
     SymplecticVector,
+    _perp_mask,
     _span_keys,
-    _swap_halves,
-    all_points,
     is_totally_isotropic,
     rref,
-    sp_form,
     span_points,
 )
 
@@ -89,7 +87,7 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     check_cap("generator enumeration", n, detail)
 
     mask = (1 << n) - 1
-    swapped = [_swap_halves(key, n) for key in range(1 << (2 * n))]
+    perps = [_perp_mask(key, n) for key in range(1 << (2 * n))]
     out: list[Subspace] = []
     rows: list[int] = []
 
@@ -111,8 +109,8 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
                         basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in rows)
                         out.append(Subspace(n, basis))
                     else:
-                        form_key = swapped[cand]
-                        extend([k for k in rest if not (k & form_key).bit_count() & 1], used | cand)
+                        perp = perps[cand]
+                        extend([k for k in rest if perp >> (k - 1) & 1], used | cand)
                     rows.pop()
             i = j
 
@@ -228,15 +226,15 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)
+    spans = [_span_keys(g) for g in generators]
     # point key k (1 .. 4^N - 1) is bit k - 1; span keys are distinct, so sum is OR
-    masks = [sum(1 << (k - 1) for k in _span_keys(g)) for g in generators]
+    masks = [sum(1 << (k - 1) for k in keys) for keys in spans]
     n_points = (1 << (2 * n)) - 1
     full = (1 << n_points) - 1
     blocks_through: list[list[int]] = [[] for _ in range(n_points)]
-    for b, m in enumerate(masks):
-        for i in range(n_points):
-            if (m >> i) & 1:
-                blocks_through[i].append(b)
+    for b, keys in enumerate(spans):
+        for k in keys:
+            blocks_through[k - 1].append(b)
 
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -246,7 +244,6 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
         if covered == full:
             solutions.append(tuple(chosen))
             return limit is None or len(solutions) < limit
-        best_point = -1
         best = None
         for i in range(n_points):
             if (covered >> i) & 1:
@@ -255,10 +252,10 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
             if not cands:
                 return True  # dead branch
             if best is None or len(cands) < len(best):
-                best, best_point = cands, i
+                best = cands
                 if len(cands) == 1:
                     break
-        assert best is not None and best_point >= 0
+        assert best is not None
         for b in best:
             chosen.append(b)
             keep_going = search(covered | masks[b])
@@ -307,23 +304,17 @@ def gq22_structure_check() -> GQReport:
     quadrangle axiom: a point off a line is collinear with exactly one
     of its points.
     """
-    points = list(all_points(2))
+    points = range(1, 16)  # keys; a set of points is a mask with key k as bit k - 1
     lines = enumerate_generators(2)
-    line_sets = [span_points(line) for line in lines]
+    line_masks = [sum(1 << (k - 1) for k in _span_keys(line)) for line in lines]
+    perps = [_perp_mask(p, 2) for p in points]
 
-    points_per_line = sorted({len(s) for s in line_sets})
-    lines_per_point = sorted({sum(p in s for s in line_sets) for p in points})
-    collinear = sorted({
-        sum(1 for q in points if q != p and sp_form(p, q) == 0) for p in points
-    })
-
-    violations = 0
-    for p in points:
-        for s in line_sets:
-            if p in s:
-                continue
-            if sum(1 for q in s if sp_form(p, q) == 0) != 1:
-                violations += 1
+    points_per_line = sorted({m.bit_count() for m in line_masks})
+    lines_per_point = sorted({sum(m >> (p - 1) & 1 for m in line_masks) for p in points})
+    collinear = sorted({perp.bit_count() - 1 for perp in perps})
+    violations = 0  # lines off p that do not meet p's perpendicular set in one point
+    for p, perp in zip(points, perps):
+        violations += sum((m & perp).bit_count() != 1 for m in line_masks if not m >> (p - 1) & 1)
 
     return GQReport(
         point_count=len(points),

@@ -20,7 +20,9 @@ Two distinct points are perpendicular when the form vanishes on them.
 For order two this is the same as being joined by a totally isotropic
 line: the line through p and q is {p, q, p + q}, and it is totally
 isotropic iff sp_form(p, q) = 0 (bilinearity gives the form on all
-other pairs).  Tests exercise this equivalence directly.
+other pairs).  Tests exercise this equivalence directly.  Inside the
+package the form on packed keys is evaluated in ``_perp_mask`` alone, as
+a point's perpendicular set with key k as bit k - 1.
 
 Subspaces are kept in reduced row echelon form with pivots taken left
 to right across (x | z), so equal subspaces always carry identical
@@ -95,6 +97,21 @@ def _swap_halves(key: int, n: int) -> int:
     return ((key & ((1 << n) - 1)) << n) | (key >> n)
 
 
+def _perp_mask(key: int, n: int) -> int:
+    """The points perpendicular to point ``key``, itself included: bit k - 1 for key k.
+
+    Built by doubling over the 2N key bits: the keys with bit b set pair
+    with the point like the keys below 2^b, flipped when the swapped key
+    has bit b.  That is 2N big-int steps, not a parity test per key.
+    """
+    swapped = _swap_halves(key, n)
+    mask = 1  # bit k set for each key k < 2^b on which the form vanishes, from key 0
+    for b in range(2 * n):
+        width = 1 << b
+        mask |= (mask ^ ((1 << width) - 1) if swapped >> b & 1 else mask) << width
+    return mask >> 1
+
+
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
     """Evaluate the alternating form: parity of u.x & v.z plus u.z & v.x."""
     if u.n != v.n:
@@ -116,19 +133,18 @@ class Subspace:
 
     def __post_init__(self) -> None:
         check_cap("qubit count", self.n, error=DimensionMismatch)
-        pivots = []
         for row in self.basis:
             if row.n != self.n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
-            if row.pivot is None:
+            if row.is_zero:
                 raise ValueError("zero row in basis")
-            pivots.append(row.pivot)
-        if any(p >= q for p, q in zip(pivots, pivots[1:])):
+        keys = [row.key for row in self.basis]
+        leads = [1 << (key.bit_length() - 1) for key in keys]  # pivots increase as these fall
+        if any(a <= b for a, b in zip(leads, leads[1:])):
             raise ValueError("basis pivots must strictly increase")
-        for i, row in enumerate(self.basis):
-            for j, other in enumerate(self.basis):
-                if i != j and (other.key >> (2 * self.n - 1 - pivots[i])) & 1:
-                    raise ValueError("basis is not fully reduced")
+        all_leads = sum(leads)
+        if any(key & all_leads != lead for key, lead in zip(keys, leads)):
+            raise ValueError("basis is not fully reduced")
 
     @property
     def rank(self) -> int:
@@ -138,11 +154,8 @@ class Subspace:
         if v.n != self.n:
             raise DimensionMismatch("vector and subspace qubit counts differ")
         key = v.key
-        for row in self.basis:
-            if key == 0:
-                break
-            if key.bit_length() == row.key.bit_length():
-                key ^= row.key
+        for row in self.basis:  # as in rref: xor exactly when key holds the row's pivot
+            key = min(key, key ^ row.key)
         return key == 0
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
@@ -167,20 +180,16 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     if n is None:
         raise DimensionMismatch("empty input needs an explicit n_qubits")
 
-    reduced: list[int] = []  # kept sorted by descending leading bit
+    # kept fully reduced and sorted by descending leading bit; an xor with a
+    # reduced row is smaller exactly when it clears that row's pivot
+    reduced: list[int] = []
     for row in rows:
         for piv in reduced:
-            if (row ^ piv).bit_length() < row.bit_length():
-                row ^= piv
+            row = min(row, row ^ piv)
         if row:
+            reduced = [min(piv, piv ^ row) for piv in reduced]
             reduced.append(row)
             reduced.sort(reverse=True)
-    # back-substitute so every pivot bit is unique to its row
-    for i, piv in enumerate(reduced):
-        lead = 1 << (piv.bit_length() - 1)
-        for j in range(i):
-            if reduced[j] & lead:
-                reduced[j] ^= piv
 
     mask = (1 << n) - 1
     basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in reduced)
@@ -223,9 +232,5 @@ def perp_census(p: SymplecticVector) -> tuple[int, int]:
     """
     if p.is_zero:
         raise ZeroVectorError("the zero vector is not a point of the space")
-    swapped = _swap_halves(p.key, p.n)
-    non_perp = 0
-    for key in range(1, 1 << (2 * p.n)):
-        non_perp += (key & swapped).bit_count() & 1
-    total_others = (1 << (2 * p.n)) - 2
-    return total_others - non_perp, non_perp
+    perp = _perp_mask(p.key, p.n).bit_count()
+    return perp - 1, (1 << (2 * p.n)) - 1 - perp

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import desarguesian_spread, enumerate_generators, params
-from .gf2 import _span_keys, all_points, perp_census
+from .gf2 import _perp_mask, _span_keys
 from .pauli import commutation_sweep
 
 
@@ -57,9 +57,10 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     # first, so the generator enumeration cap is verify's cap before any count runs
     gens = enumerate_generators(n_qubits)
     checks: list[Check] = []
+    # one perpendicular mask per enumerated point key, for eq1 and eq5
+    perps = [_perp_mask(key, n_qubits) for key in range(1, 1 << (2 * n_qubits))]
 
-    point_total = sum(1 for _ in all_points(n_qubits))
-    checks.append(Check("eq1_point_count", p.point_count, point_total))
+    checks.append(Check("eq1_point_count", p.point_count, len(perps)))
 
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
 
@@ -73,7 +74,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
         blocks = -1
     checks.append(Check("eq3_spread_partition", p.spread_size, blocks))
 
-    censuses = {perp_census(pt)[1] for pt in all_points(n_qubits)}
+    censuses = {len(perps) - perp.bit_count() for perp in perps}
     census_actual = censuses.pop() if len(censuses) == 1 else -1
     checks.append(Check("eq5_non_perp_census", p.non_perp_count, census_actual))
 

@@ -265,8 +265,9 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
 
 # sha256 of stdout and the exit code of each invocation, captured at commit
 # 117794f, before the generator DFS, perp_census and the span helper moved
-# onto packed keys: a change of internal representation must leave every
-# byte of output alone.
+# onto packed keys (the two graph 3 digests at 7d0947d, before the graph
+# took its adjacency from perpendicular masks): a change of internal
+# representation must leave every byte of output alone.
 OUTPUT_GOLDENS = [
     ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
     ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
@@ -283,6 +284,8 @@ OUTPUT_GOLDENS = [
     ("spread 3", 0, "1ae266c618060118aed9c39ca3461048067d9c79b1130fc2a87a3ef7087b74f7"),
     ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),
     ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
+    ("graph 3", 0, "920ebc357583451518ca10f88bbbb8a9edf655eb589423b49a03e5f1c9cfa1b6"),
+    ("graph 3 --format json", 0, "9987db012376504d9d31dfc1c8123a21eeda20b84903ee3d79582135cf2f72e5"),
 ]
 
 

@@ -43,6 +43,12 @@ ARGVS = st.one_of(
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(ARGVS)
+# argvs the derandomized draw never reaches: below and above the caps
+@hypothesis.example(["graph", "-1"])
+@hypothesis.example(["verify", "-1"])
+@hypothesis.example(["generators", "4"])
+@hypothesis.example(["generators", "6"])
+@hypothesis.example(["graph", "4"])
 def test_generated_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

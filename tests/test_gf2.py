@@ -1,5 +1,6 @@
 """Form, RREF, span, and census tests for the GF(2) symplectic layer."""
 
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,13 @@ from qpolar import (
     span_points,
     sp_form,
 )
-from qpolar.gf2 import _swap_halves
+from qpolar.gf2 import _perp_mask, _swap_halves
 
 SEED = 20260826
+
+
+def key_rows(n, *keys):
+    return tuple(SymplecticVector(n, k >> n, k & ((1 << n) - 1)) for k in keys)
 
 
 def rand_vector(rng, n, nonzero=False):
@@ -181,6 +186,34 @@ def test_subspace_rejects_non_canonical_basis():
         Subspace(1, (SymplecticVector(2, 1, 0),))
 
 
+def test_subspace_accepts_exactly_the_rref_bases():
+    for n in (1, 2):
+        points = list(all_points(n))
+        for size in range(4):
+            for basis in itertools.product(points, repeat=size):
+                try:
+                    Subspace(n, basis)
+                    constructed = True
+                except ValueError:
+                    constructed = False
+                assert constructed == (rref(basis, n).basis == basis), basis
+
+
+@pytest.mark.parametrize("n,keys,message", [
+    # a stray pivot bit in a row above the pivot row
+    (2, (0b1100, 0b0100), "not fully reduced"),
+    (3, (0b100001, 0b010000, 0b000001), "not fully reduced"),
+    (3, (0b100000, 0b010010, 0b000010), "not fully reduced"),
+    # in a row below it, the stray bit is that row's own leading bit
+    (2, (0b1000, 0b1100), "pivots must strictly increase"),
+    (3, (0b100000, 0b010000, 0b100001), "pivots must strictly increase"),
+    (3, (0b100000, 0b000100, 0b000110), "pivots must strictly increase"),
+])
+def test_subspace_rejects_stray_pivot_bits(n, keys, message):
+    with pytest.raises(ValueError, match=message):
+        Subspace(n, key_rows(n, *keys))
+
+
 def test_is_totally_isotropic():
     for n in (1, 2):
         for p in all_points(n):
@@ -193,9 +226,13 @@ def test_is_totally_isotropic():
     assert not is_totally_isotropic(rref([x, z]))
 
 
-@pytest.mark.parametrize("n,census", [(1, (0, 2)), (2, (6, 8)), (3, (30, 32)), (4, (126, 128))])
+@pytest.mark.parametrize("n,census", [
+    (1, (0, 2)), (2, (6, 8)), (3, (30, 32)), (4, (126, 128)), (5, (510, 512)), (12, (2**23 - 2, 2**23)),
+])
 def test_perp_census(n, census):
-    for p in all_points(n):
+    # every point up to N=5; at N=12, points of weight 1, 24 and mixed halves
+    points = all_points(n) if n <= 5 else key_rows(12, 1, (1 << 24) - 1, 0xA5C_3F0)
+    for p in points:
         assert perp_census(p) == census
 
 
@@ -209,12 +246,16 @@ def test_perp_census_matches_sp_form_scan():
 
 
 def test_swapped_key_parity_is_the_form():
-    # the census and the generator DFS evaluate the form through this key
+    # the perpendicular mask, which every key-level use of the form reads, is built from this key
     for n in (1, 2, 3):
         vecs = [SymplecticVector(n, key >> n, key & ((1 << n) - 1)) for key in range(1 << (2 * n))]
         for u in vecs:
             for v in vecs:
                 assert (u.key & _swap_halves(v.key, n)).bit_count() & 1 == sp_form(u, v)
+        for u in vecs[1:]:
+            perp = _perp_mask(u.key, n)
+            for v in vecs[1:]:
+                assert perp >> (v.key - 1) & 1 == 1 - sp_form(u, v)
 
 
 def test_perp_census_rejects_zero():
