@@ -8,20 +8,26 @@ Counting targets (the five identities every run verifies):
     eq4  generator size    2^N - 1
     eq5  non-perpendicular 2^(2N-1)   (per point)
 
+A set of points is a bitmask with point key k as bit k - 1.
+
 Generators (maximal totally isotropic subspaces, vector rank N) are
 enumerated depth-first over reduced-row-echelon bases of packed keys.
-Each node holds the candidate rows perpendicular to every chosen row and
-pivoted strictly right of the last one; a child keeps the rest of that
-list that lies in the newest row's perpendicular mask, and skips pivots
-already set in a chosen row.  Every generator thus comes from its unique
-RREF exactly once, in a fixed order, with no dedup pass.
+Each node holds one bitmask, the points perpendicular to every chosen
+row; its candidate rows are those whose pivot lies strictly right of the
+last one.  It walks the pivot (leading) bits from left to right, skips a
+pivot already set in a chosen row, and takes each candidate with that
+leading bit; the child's mask is the node's ANDed with the new row's
+perpendicular mask, one big-int AND.  Every generator thus comes from
+its unique RREF exactly once, in a fixed order, with no dedup pass.  The
+basis rows are shared SymplecticVectors, one per point.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
 GF(2^N) x GF(2^N) (the lines through the origin transported to standard
-coordinates via the trace-dual basis) for every N with a pinned modulus
-in gf2n.MODULI, N <= 5; exhaustive spread search is an exact-cover
-problem over (points x generators), with point key k as bit k - 1.
+coordinates via the trace-dual basis, each from the images of N basis
+elements) for every N with a pinned modulus in gf2n.MODULI, N <= 5;
+exhaustive spread search is an exact-cover problem over
+(points x generators).
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -87,34 +93,35 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     check_cap("generator enumeration", n, detail)
 
     mask = (1 << n) - 1
+    # one validated vector per point, shared by every basis that uses it as a row
+    points = [SymplecticVector(n, key >> n, key & mask) for key in range(1, 1 << (2 * n))]
     perps = [_perp_mask(key, n) for key in range(1 << (2 * n))]
     out: list[Subspace] = []
     rows: list[int] = []
 
-    def extend(cands: list[int], used: int) -> None:
-        # cands: perpendicular to all rows, below the last pivot, lead-bit-major then ascending
+    def extend(cands: int, top: int, used: int) -> None:
+        # cands: the points perpendicular to every row, of which only those below
+        # the last row's leading bit ``top`` are read; used: the rows ORed together
         left = n - len(rows)
         room = 1 << (left - 1)  # leave room for the remaining pivots
-        i, end = 0, len(cands)
-        while i < end and cands[i] >= room:
-            lead = 1 << (cands[i].bit_length() - 1)
-            j = i + 1
-            while j < end and cands[j] >= lead:
-                j += 1
-            if not used & lead:  # earlier rows must be zero at this pivot
-                rest = cands[j:]
-                for cand in cands[i:j]:
-                    rows.append(cand)
-                    if left == 1:
-                        basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in rows)
-                        out.append(Subspace(n, basis))
-                    else:
-                        perp = perps[cand]
-                        extend([k for k in rest if perp >> (k - 1) & 1], used | cand)
-                    rows.pop()
-            i = j
+        lead = top >> 1
+        while lead >= room:
+            # keys lead .. 2*lead - 1 are bits lead - 1 .. 2*lead - 2; a pivot set in
+            # an earlier row cannot lead a reduced row, so that lead gets none
+            group = 0 if used & lead else cands >> (lead - 1) & ((1 << lead) - 1)
+            while group:
+                low = group & -group
+                group ^= low
+                cand = lead + low.bit_length() - 1
+                rows.append(cand)
+                if left == 1:
+                    out.append(Subspace(n, tuple(points[k - 1] for k in rows)))
+                else:
+                    extend(cands & perps[cand], lead, used | cand)
+                rows.pop()
+            lead >>= 1
 
-    extend([k for b in range(2 * n, 0, -1) for k in range(1 << (b - 1), 1 << b)], 0)
+    extend((1 << len(points)) - 1, 1 << (2 * n), 0)
     return out
 
 
@@ -180,6 +187,12 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     in its trace-dual, which carries the field-plane form
     Tr(a*d) + Tr(b*c) to the standard form exactly, so every block lands
     totally isotropic in standard coordinates.
+
+    Each block is rref'd from the images of the N polynomial-basis
+    elements alone.  a -> (a, c*a) and b -> (0, b) are GF(2)-linear and
+    injective, and so are the coordinate maps x_part and z_part, so the N
+    images are independent and span the whole block; rref is canonical,
+    so the basis equals the one from all 2^N - 1 nonzero points.
     """
     n = n_qubits
     if n < 1:
@@ -198,12 +211,12 @@ def desarguesian_spread(n_qubits: int) -> Spread:
         # dual-basis coordinates read off by tracing against the primal basis
         return sum(gf2n.trace(gf2n.fmul(b, pair.primal[i])) << (n - 1 - i) for i in range(n))
 
-    nonzero = [e for e in gf2n.elements(n) if e.bits]
-    blocks = []
-    for slope in gf2n.elements(n):
-        pts = [SymplecticVector(n, x_part(a), z_part(gf2n.fmul(slope, a))) for a in nonzero]
-        blocks.append(rref(pts))
-    blocks.append(rref([SymplecticVector(n, 0, z_part(b)) for b in nonzero]))
+    basis = pair.primal
+    blocks = [
+        rref([SymplecticVector(n, x_part(a), z_part(gf2n.fmul(slope, a))) for a in basis])
+        for slope in gf2n.elements(n)
+    ]
+    blocks.append(rref([SymplecticVector(n, 0, z_part(b)) for b in basis]))
     return Spread(n, tuple(blocks))
 
 

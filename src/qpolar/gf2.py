@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, ZeroVectorError, check_cap
+from .errors import DimensionMismatch, DomainError, ZeroVectorError, check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +48,7 @@ class SymplecticVector:
     def __post_init__(self) -> None:
         check_cap("qubit count", self.n, error=DimensionMismatch)
         if not 0 <= self.x < (1 << self.n) or not 0 <= self.z < (1 << self.n):
-            raise ValueError(f"x/z parts must be {self.n}-bit values")
+            raise DomainError(f"x/z parts must be {self.n}-bit values")
 
     @classmethod
     def from_bits(cls, x_bits: str, z_bits: str) -> "SymplecticVector":
@@ -137,14 +137,14 @@ class Subspace:
             if row.n != self.n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
             if row.is_zero:
-                raise ValueError("zero row in basis")
+                raise DomainError("zero row in basis")
         keys = [row.key for row in self.basis]
         leads = [1 << (key.bit_length() - 1) for key in keys]  # pivots increase as these fall
         if any(a <= b for a, b in zip(leads, leads[1:])):
-            raise ValueError("basis pivots must strictly increase")
+            raise DomainError("basis pivots must strictly increase")
         all_leads = sum(leads)
         if any(key & all_leads != lead for key, lead in zip(keys, leads)):
-            raise ValueError("basis is not fully reduced")
+            raise DomainError("basis is not fully reduced")
 
     @property
     def rank(self) -> int:

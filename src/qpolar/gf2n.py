@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DimensionMismatch, NotABasisError
+from .errors import DimensionMismatch, DomainError, NotABasisError
 
 MODULI = {
     1: 0b11,
@@ -37,7 +37,7 @@ class FieldElement:
         if self.n not in MODULI:
             raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {self.n}")
         if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"coefficients must fit in {self.n} bits")
+            raise DomainError(f"coefficients must fit in {self.n} bits")
 
     def __xor__(self, other: "FieldElement") -> "FieldElement":
         if self.n != other.n:

@@ -107,11 +107,11 @@ class ExactMatrix:
         re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
         dim = len(re)
         if len(im) != dim or any(len(row) != dim for row in re + im):
-            raise ValueError("real and imaginary parts must be square and congruent")
+            raise DomainError("real and imaginary parts must be square and congruent")
         rows = [[(j, e) for j, e in enumerate(zip(*parts)) if e != (0, 0)] for parts in zip(re, im)]
         units = [row[0] for row in rows if len(row) == 1 and row[0][1] in _UNITS]
         if len({j for j, _ in units}) != dim:
-            raise ValueError("not monomial: every row and column needs one entry in {1, i, -1, -i}")
+            raise DomainError("not monomial: every row and column needs one entry in {1, i, -1, -i}")
         object.__setattr__(self, "cols", tuple(j for j, _ in units))
         object.__setattr__(self, "phases", tuple(_UNITS.index(e) for _, e in units))
 

@@ -11,16 +11,21 @@ from qpolar import (
     SymplecticVector,
     all_points,
     desarguesian_spread,
+    elements,
     enumerate_generators,
     enumerate_spreads,
+    fmul,
     gq22_structure_check,
     is_maximal_isotropic,
     is_totally_isotropic,
     params,
+    polynomial_basis,
     rref,
     span_points,
     sp_form,
+    trace,
 )
+from qpolar.errors import CAPS
 
 
 @pytest.mark.parametrize(
@@ -114,6 +119,16 @@ def test_generators_are_valid_and_distinct():
             assert g.basis[-1].key == min(keys)
 
 
+def test_generator_count_at_n5_by_enumeration(monkeypatch):
+    # eq2 recounted one step past the default cap: 3 * 5 * 9 * 17 * 33 subspaces
+    monkeypatch.setitem(CAPS, "generator enumeration", 5)
+    gens = enumerate_generators(5)
+    assert len(gens) == params(5).generator_count == 75735
+    assert len(set(gens)) == len(gens)
+    keys = [g.sort_key() for g in gens]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_generators_capacity():
     with pytest.raises(CapacityError) as err:
         enumerate_generators(5)
@@ -179,6 +194,31 @@ def test_desarguesian_spread(n):
     s = desarguesian_spread(n)
     assert len(s.blocks) == params(n).spread_size
     _check_partition_directly(s, n)
+
+
+def _reference_desarguesian_spread(n):
+    """The field-plane spread point by point: each block rref'd from all
+    2^N - 1 nonzero points of its line, not from N basis images."""
+    primal = polynomial_basis(n)
+
+    def x_part(a):
+        return sum(((a.bits >> i) & 1) << (n - 1 - i) for i in range(n))
+
+    def z_part(b):  # trace-dual coordinates, read off by tracing against the primal basis
+        return sum(trace(fmul(b, p)) << (n - 1 - i) for i, p in enumerate(primal))
+
+    nonzero = [e for e in elements(n) if e.bits]
+    blocks = [
+        rref([SymplecticVector(n, x_part(a), z_part(fmul(c, a))) for a in nonzero])
+        for c in elements(n)
+    ]
+    blocks.append(rref([SymplecticVector(n, 0, z_part(b)) for b in nonzero]))
+    return Spread(n, tuple(blocks))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_desarguesian_spread_matches_pointwise_reference(n):
+    assert desarguesian_spread(n) == _reference_desarguesian_spread(n)
 
 
 def test_desarguesian_n1_block_order():

@@ -7,6 +7,7 @@ import pytest
 
 from qpolar import (
     DimensionMismatch,
+    QPolarError,
     Subspace,
     SymplecticVector,
     ZeroVectorError,
@@ -212,6 +213,17 @@ def test_subspace_accepts_exactly_the_rref_bases():
 def test_subspace_rejects_stray_pivot_bits(n, keys, message):
     with pytest.raises(ValueError, match=message):
         Subspace(n, key_rows(n, *keys))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SymplecticVector(2, 4, 0), "2-bit values"),
+    (lambda: Subspace(1, (SymplecticVector(1, 0, 0),)), "zero row"),
+    (lambda: Subspace(1, key_rows(1, 0b11, 0b10)), "pivots must strictly increase"),
+    (lambda: Subspace(1, key_rows(1, 0b11, 0b01)), "not fully reduced"),
+], ids=["vector", "zero row", "pivot order", "not reduced"])
+def test_construction_errors_are_qpolar_errors(build, message):
+    with pytest.raises(QPolarError, match=message):
+        build()
 
 
 def test_is_totally_isotropic():

@@ -9,6 +9,7 @@ from qpolar import (
     DimensionMismatch,
     FieldElement,
     NotABasisError,
+    QPolarError,
     dual_basis,
     elements,
     fmul,
@@ -35,6 +36,11 @@ def test_element_validation():
         one(2) ^ one(3)
     with pytest.raises(DimensionMismatch):
         fmul(one(2), one(3))
+
+
+def test_element_construction_error_is_a_qpolar_error():
+    with pytest.raises(QPolarError, match="fit in 2 bits"):
+        FieldElement(2, 4)
 
 
 def test_elements_count():

@@ -11,6 +11,7 @@ from qpolar import (
     DomainError,
     ExactMatrix,
     IdentityWordError,
+    QPolarError,
     SymplecticVector,
     ZeroVectorError,
     all_points,
@@ -166,6 +167,15 @@ def test_exact_matrix_basics():
 )
 def test_exact_matrix_rejects_non_monomial_or_non_unit(re, im):
     with pytest.raises(ValueError):
+        ExactMatrix(re, im)
+
+
+@pytest.mark.parametrize("re,im,message", [
+    (((1, 0),), ((0, 0), (0, 0)), "square and congruent"),
+    (((1, 1), (0, 1)), ((0, 0), (0, 0)), "not monomial"),
+], ids=["shape", "not monomial"])
+def test_exact_matrix_construction_errors_are_qpolar_errors(re, im, message):
+    with pytest.raises(QPolarError, match=message):
         ExactMatrix(re, im)
 
 
