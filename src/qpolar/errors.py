@@ -26,7 +26,7 @@ class CapacityError(QPolarError):
 # count cap; verify takes the generator enumeration cap, as it enumerates
 # generators (verify 4: about 0.04 s, 0.9 s with --oracle); constructed spreads
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
-# (desarguesian_spread(5): about 0.015 s).
+# (desarguesian_spread(5): about 0.006 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.04 s for 2,295 subspaces; N=5 would take

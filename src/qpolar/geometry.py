@@ -24,8 +24,8 @@ basis rows are shared SymplecticVectors, one per point.
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
 GF(2^N) x GF(2^N) (the lines through the origin transported to standard
-coordinates via the trace-dual basis, each from the images of N basis
-elements) for every N with a pinned modulus in gf2n.MODULI, N <= 5;
+coordinates via the trace-dual basis, each spanned by N rows over that
+basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5;
 exhaustive spread search is an exact-cover problem over
 (points x generators).
 
@@ -188,11 +188,12 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     Tr(a*d) + Tr(b*c) to the standard form exactly, so every block lands
     totally isotropic in standard coordinates.
 
-    Each block is rref'd from the images of the N polynomial-basis
-    elements alone.  a -> (a, c*a) and b -> (0, b) are GF(2)-linear and
-    injective, and so are the coordinate maps x_part and z_part, so the N
-    images are independent and span the whole block; rref is canonical,
-    so the basis equals the one from all 2^N - 1 nonzero points.
+    Each block is rref'd from N rows over the trace-dual basis delta_j,
+    whose second components have coordinates e_j by duality.  So for d
+    in K the rows (d*delta_j, e_j) span {(d*b, b)}: the vertical line at
+    d = 0 and the line of slope 1/d otherwise.  The rows (e_i, 0) span
+    the line of slope 0.  The e_j make each block's N rows independent,
+    and rref is canonical.
     """
     n = n_qubits
     if n < 1:
@@ -201,22 +202,17 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     if n > cap:
         raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
 
-    pair = gf2n.dual_basis(gf2n.polynomial_basis(n))
+    dual = gf2n.dual_basis(gf2n.polynomial_basis(n)).dual
+    units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
 
-    def x_part(a: gf2n.FieldElement) -> int:
-        # coefficient of x^i becomes coordinate x_(i+1), qubit 1 at the MSB
-        return sum(((a.bits >> i) & 1) << (n - 1 - i) for i in range(n))
+    def x_part(a: gf2n.FieldElement) -> int:  # the coefficient of x^i becomes e_i
+        return sum(e for i, e in enumerate(units) if (a.bits >> i) & 1)
 
-    def z_part(b: gf2n.FieldElement) -> int:
-        # dual-basis coordinates read off by tracing against the primal basis
-        return sum(gf2n.trace(gf2n.fmul(b, pair.primal[i])) << (n - 1 - i) for i in range(n))
-
-    basis = pair.primal
     blocks = [
-        rref([SymplecticVector(n, x_part(a), z_part(gf2n.fmul(slope, a))) for a in basis])
-        for slope in gf2n.elements(n)
+        rref([SymplecticVector(n, x_part(gf2n.fmul(d, delta)), e) for delta, e in zip(dual, units)])
+        for d in gf2n.elements(n)
     ]
-    blocks.append(rref([SymplecticVector(n, 0, z_part(b)) for b in basis]))
+    blocks.append(rref([SymplecticVector(n, e, 0) for e in units]))
     return Spread(n, tuple(blocks))
 
 

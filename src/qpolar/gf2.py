@@ -55,6 +55,9 @@ class SymplecticVector:
         """Build from coordinate strings, e.g. from_bits("10", "01") for N=2."""
         if len(x_bits) != len(z_bits) or not x_bits:
             raise DimensionMismatch("x and z bit strings must have equal positive length")
+        for bits in (x_bits, z_bits):
+            if not set(bits) <= {"0", "1"}:
+                raise DomainError(f"bit strings may contain only 0 and 1, got {bits!r}")
         return cls(len(x_bits), int(x_bits, 2), int(z_bits, 2))
 
     @property

@@ -8,8 +8,8 @@ of the package is reproducible bit for bit:
     n=4: x^4 + x + 1  n=5: x^5 + x^2 + 1
 
 The only consumer is the field-plane spread construction, which needs
-multiplication, the absolute trace, and the trace-dual of the
-polynomial basis {1, x, ..., x^(n-1)}.
+multiplication and the trace-dual of the polynomial basis
+{1, x, ..., x^(n-1)}; the absolute trace is used to compute that dual.
 """
 
 from __future__ import annotations

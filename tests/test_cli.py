@@ -281,8 +281,12 @@ OUTPUT_GOLDENS = [
     ("generators 2 --format json", 0, "8dd39dd4deaf28e2b13fa4768aedd30a2aa8928d924ea3dea022a018d1b56504"),
     ("generators 3 --format json", 0, "fb1df20205feb3355745bb9af01cba077f0795e623a881d7611a5eb62f8ee21d"),
     ("generators 4 --format json", 0, "36c4b729e7d163e588d3f8c6bb3aba003762c7231fb139250aeb237f8686c0ab"),
+    ("spread 1", 0, "84fce55163a65e6dfd198d0727b52dff4df6252634c2a8dc4253a2e2db67f9a2"),
+    ("spread 2", 0, "329a64fcd0bcf772eafb41bcb2f404621acc16a41292a37bb1f3c9d743a9be51"),
     ("spread 3", 0, "1ae266c618060118aed9c39ca3461048067d9c79b1130fc2a87a3ef7087b74f7"),
+    ("spread 3 --format json", 0, "3d25e9ba6bb91457831a7864a3b48ac1cf418b6d8b263c79d1b93a88fe1b5d6c"),
     ("spread 4", 0, "d15b229a72e1ec7b6941593904b4671a5c2c7d6d82a338f9d8d34115c5ec7cc0"),
+    ("spread 4 --format json", 0, "79257fae189ebdc9573731936c804585e5ca5fb3c2b31279c216dbc7f36e04e1"),
     ("spread 5", 0, "b15d3cc184567f4de83f8c86ce5ea87c69e78a2d4d2ba2781de591d54ce3b38f"),
     ("spread 5 --format json", 0, "e0df2f08aec5021e5df745acbd6bfb3a550ebaaf193d8d560c3b1b0f9b0398f3"),
     ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),

@@ -198,7 +198,8 @@ def test_desarguesian_spread(n):
 
 def _reference_desarguesian_spread(n):
     """The field-plane spread point by point: each block rref'd from all
-    2^N - 1 nonzero points of its line, not from N basis images."""
+    2^N - 1 nonzero points of its line, with second coordinates read off
+    by tracing, not from N rows over the trace-dual basis."""
     primal = polynomial_basis(n)
 
     def x_part(a):

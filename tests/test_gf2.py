@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from qpolar import (
     DimensionMismatch,
+    DomainError,
     QPolarError,
     Subspace,
     SymplecticVector,
@@ -56,6 +58,13 @@ def test_vector_validation():
         SymplecticVector.from_bits("1", "10")
     with pytest.raises(DimensionMismatch):
         SymplecticVector.from_bits("", "")
+
+
+@pytest.mark.parametrize("bad", ["0b1", "1_0", " 1", "+1", "\uff11\uff10", "12"])
+def test_from_bits_rejects_non_binary_characters(bad):
+    # int(s, 2) alone would accept the first five and raise a bare ValueError on "12"
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        SymplecticVector.from_bits(bad, "0" * len(bad))
 
 
 def test_vector_xor():

@@ -1,5 +1,6 @@
 """GF(2^n) arithmetic, trace, and trace-dual basis tests."""
 
+import itertools
 import random
 
 import pytest
@@ -133,6 +134,49 @@ def test_dual_basis_delta_identities():
             for j in range(n):
                 expected = 1 if i == j else 0
                 assert trace(fmul(pair.primal[i], pair.dual[j])) == expected
+
+
+def _dual_by_search(primal):
+    """Each delta_j found among all 2^n elements by Tr(p_i * delta_j) = [i == j];
+    None unless every j has exactly one solution."""
+    n = len(primal)
+    dual = []
+    for j in range(n):
+        hits = [
+            d
+            for d in elements(n)
+            if all(trace(fmul(p, d)) == (i == j) for i, p in enumerate(primal))
+        ]
+        if len(hits) != 1:
+            return None
+        dual.append(hits[0])
+    return tuple(dual)
+
+
+def _dual_or_none(primal):
+    try:
+        return dual_basis(list(primal)).dual
+    except NotABasisError:
+        return None
+
+
+def test_dual_basis_matches_definition_exhaustively():
+    accepted = {}
+    for n in (1, 2, 3):
+        accepted[n] = 0
+        for primal in itertools.product(elements(n), repeat=n):
+            dual = _dual_or_none(primal)
+            assert dual == _dual_by_search(primal), primal
+            accepted[n] += dual is not None
+    assert accepted == {1: 1, 2: 6, 3: 168}  # |GL(n, 2)|: the ordered bases
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dual_basis_matches_definition_sampled(n):
+    rng = random.Random(SEED)
+    for _ in range(100):
+        primal = tuple(FieldElement(n, rng.randrange(1 << n)) for _ in range(n))
+        assert _dual_or_none(primal) == _dual_by_search(primal), primal
 
 
 def test_dual_of_dual_is_primal():
