@@ -32,8 +32,10 @@ CAPS = {
     # enumerate_generators(4): about 0.04 s for 2,295 subspaces; N=5 would take
     # about 2.1 s for 75,735 (measured with this entry raised to 5)
     "generator enumeration": 4,
-    "spread search": 3,  # enumerate_spreads(3, limit=1): about 4 ms
-    "full spread enumeration": 2,  # about 1 ms for 6 spreads; all 960 at N=3 take about 0.28 s
+    "spread search": 3,  # enumerate_spreads(3, limit=1): about 3 ms
+    # about 0.7 ms for 6 spreads; all 960 at N=3 take about 0.24 s, of which
+    # the cover search is about 0.02 s and Spread validation most of the rest
+    "full spread enumeration": 2,
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.025 ms a pair, cache cold
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }

@@ -25,9 +25,15 @@ A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
 GF(2^N) x GF(2^N) (the lines through the origin transported to standard
 coordinates via the trace-dual basis, each spanned by N rows over that
-basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5;
-exhaustive spread search is an exact-cover problem over
-(points x generators).
+basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5.
+
+Exhaustive spread search is exact cover of the points by the generators,
+run as Algorithm X on bitmasks: each generator's point mask is a row,
+and a node holds two ints, the uncovered points and the generators still
+disjoint from every chosen one.  Precomputed per call are the generators
+through each point and the generators meeting each generator, so a
+child's state is two big-int ANDs.  Results are sorted by generator
+index, which is canonical order.
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -45,7 +51,7 @@ from .gf2 import (
     Subspace,
     SymplecticVector,
     _perp_mask,
-    _span_keys,
+    _span_mask,
     is_totally_isotropic,
     rref,
     span_points,
@@ -216,16 +222,82 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     return Spread(n, tuple(blocks))
 
 
+def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple[int, ...]]:
+    """Every exact cover of columns 0 .. n_cols - 1 by the row masks, up to limit.
+
+    Algorithm X on bitmasks (Knuth, "Dancing Links"): a node holds the
+    uncovered columns and the live rows, those meeting no chosen row.  It
+    branches on the uncovered column with fewest live rows through it
+    (ties to the lowest column; none is a dead end, one ends the scan) and
+    tries those rows in ascending index order.  Each cover is returned
+    once, as its row indices in the order they were chosen.
+    """
+    through = [0] * n_cols  # the rows through each column, bit r for row r
+    for r, row in enumerate(rows):
+        while row:
+            low = row & -row
+            row ^= low
+            through[low.bit_length() - 1] |= 1 << r
+    meets = []  # the rows sharing a column with each row, itself included
+    for row in rows:
+        hit = 0
+        while row:
+            low = row & -row
+            row ^= low
+            hit |= through[low.bit_length() - 1]
+        meets.append(hit)
+
+    covers: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def search(uncovered: int, alive: int) -> bool:
+        """Returns False once the limit is reached, to unwind the recursion."""
+        if not uncovered:
+            covers.append(tuple(chosen))
+            return limit is None or len(covers) < limit
+        best, fewest = 0, len(rows) + 1
+        scan = uncovered
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            cands = through[low.bit_length() - 1] & alive
+            count = cands.bit_count()
+            if count < fewest:
+                if not count:
+                    return True  # dead branch
+                best, fewest = cands, count
+                if count == 1:
+                    break
+        while best:
+            low = best & -best
+            best ^= low
+            r = low.bit_length() - 1
+            chosen.append(r)
+            keep_going = search(uncovered & ~rows[r], alive & ~meets[r])
+            chosen.pop()
+            if not keep_going:
+                return False
+        return True
+
+    search((1 << n_cols) - 1, (1 << len(rows)) - 1)
+    return covers
+
+
 def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """Exhaustive exact-cover search for spreads.
 
-    Deterministic: the uncovered point with fewest remaining candidate
-    blocks is covered first (ties to the lowest point), candidates tried
+    Deterministic: the columns are the points, the rows are the
+    generators' point masks in canonical generator order, and
+    _exact_covers covers the uncovered point with fewest remaining
+    candidate blocks first (ties to the lowest point), candidates tried
     in canonical generator order.  Without a limit the search is capped
     by the full spread enumeration entry of errors.CAPS, with one by the
     spread search entry.  Exact cover with a fixed branching rule reaches
-    each spread by exactly one path, so no spread is found twice; results
-    are returned sorted by canonical form.
+    each spread by exactly one path, so no spread is found twice.
+
+    Results are returned sorted by canonical form.  Generator indices
+    follow Subspace.sort_key, so that is the order of the index tuples
+    once each lists its blocks by smallest point, as Spread does.
     """
     n = n_qubits
     check_cap("spread search", n)
@@ -235,48 +307,10 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)
-    spans = [_span_keys(g) for g in generators]
-    # point key k (1 .. 4^N - 1) is bit k - 1; span keys are distinct, so sum is OR
-    masks = [sum(1 << (k - 1) for k in keys) for keys in spans]
-    n_points = (1 << (2 * n)) - 1
-    full = (1 << n_points) - 1
-    blocks_through: list[list[int]] = [[] for _ in range(n_points)]
-    for b, keys in enumerate(spans):
-        for k in keys:
-            blocks_through[k - 1].append(b)
-
-    solutions: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def search(covered: int) -> bool:
-        """Returns False once the limit is reached, to unwind the recursion."""
-        if covered == full:
-            solutions.append(tuple(chosen))
-            return limit is None or len(solutions) < limit
-        best = None
-        for i in range(n_points):
-            if (covered >> i) & 1:
-                continue
-            cands = [b for b in blocks_through[i] if not masks[b] & covered]
-            if not cands:
-                return True  # dead branch
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) == 1:
-                    break
-        assert best is not None
-        for b in best:
-            chosen.append(b)
-            keep_going = search(covered | masks[b])
-            chosen.pop()
-            if not keep_going:
-                return False
-        return True
-
-    search(0)
-
-    spreads = [Spread(n, tuple(generators[b] for b in sol)) for sol in solutions]
-    return sorted(spreads, key=Spread.sort_key)
+    covers = _exact_covers([_span_mask(g) for g in generators], (1 << (2 * n)) - 1, limit)
+    smallest = [g.basis[-1].key for g in generators]
+    ordered = sorted(tuple(sorted(cover, key=smallest.__getitem__)) for cover in covers)
+    return [Spread(n, tuple(generators[b] for b in cover)) for cover in ordered]
 
 
 @dataclass(frozen=True)
@@ -315,7 +349,7 @@ def gq22_structure_check() -> GQReport:
     """
     points = range(1, 16)  # keys; a set of points is a mask with key k as bit k - 1
     lines = enumerate_generators(2)
-    line_masks = [sum(1 << (k - 1) for k in _span_keys(line)) for line in lines]
+    line_masks = [_span_mask(line) for line in lines]
     perps = [_perp_mask(p, 2) for p in points]
 
     points_per_line = sorted({m.bit_count() for m in line_masks})

@@ -208,6 +208,11 @@ def _span_keys(s: Subspace) -> list[int]:
     return keys[1:]
 
 
+def _span_mask(s: Subspace) -> int:
+    """The nonzero span vectors as a set of points: bit k - 1 for key k."""
+    return sum(1 << (k - 1) for k in _span_keys(s))  # the keys are distinct, so sum is OR
+
+
 def span_points(s: Subspace) -> set[SymplecticVector]:
     """All 2^rank - 1 nonzero vectors in the span of the basis."""
     mask = (1 << s.n) - 1

@@ -266,8 +266,9 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
 # sha256 of stdout and the exit code of each invocation, captured at commit
 # 117794f, before the generator DFS, perp_census and the span helper moved
 # onto packed keys (the two graph 3 digests at 7d0947d, before the graph
-# took its adjacency from perpendicular masks): a change of internal
-# representation must leave every byte of output alone.
+# took its adjacency from perpendicular masks; the two spread 3 search
+# digests at 2a1a7ee, before the spread search moved onto bitmasks): a
+# change of internal representation must leave every byte of output alone.
 OUTPUT_GOLDENS = [
     ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
     ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
@@ -290,6 +291,12 @@ OUTPUT_GOLDENS = [
     ("spread 5", 0, "b15d3cc184567f4de83f8c86ce5ea87c69e78a2d4d2ba2781de591d54ce3b38f"),
     ("spread 5 --format json", 0, "e0df2f08aec5021e5df745acbd6bfb3a550ebaaf193d8d560c3b1b0f9b0398f3"),
     ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),
+    ("spread 3 --method search --limit 1", 0, "466c09c2c01a5715920712d58b82a9d88b4d5e7e75f4d024842836864ded327e"),
+    (
+        "spread 3 --method search --limit 1000 --format json",
+        0,
+        "8a7006a08071f21fcdfc49a27d679980f3c93a8e4e6fc8d71d3dc218f2e085d5",
+    ),
     ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
     ("graph 3", 0, "920ebc357583451518ca10f88bbbb8a9edf655eb589423b49a03e5f1c9cfa1b6"),
     ("graph 3 --format json", 0, "9987db012376504d9d31dfc1c8123a21eeda20b84903ee3d79582135cf2f72e5"),

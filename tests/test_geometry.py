@@ -289,6 +289,69 @@ def test_enumerate_spreads_n3_needs_limit():
         enumerate_spreads(2, limit=0)
 
 
+def _reference_spread_search(n, limit=None):
+    """The list-based exact cover, written from the enumerate_spreads rule:
+    at each node every uncovered point lists the blocks through it that miss
+    every covered point, the first point with the shortest list is covered
+    (a point with none ends the branch, one with a single block ends the
+    scan), and its blocks are tried in canonical generator order."""
+    gens = enumerate_generators(n)
+    blocks = [{p.key for p in span_points(g)} for g in gens]
+    points = range(1, 1 << (2 * n))
+    through = {p: [b for b, pts in enumerate(blocks) if p in pts] for p in points}
+    found = []
+    chosen = []
+
+    def search(covered):
+        if len(covered) == len(points):
+            found.append(list(chosen))
+            return limit is None or len(found) < limit
+        best = None
+        for p in points:
+            if p in covered:
+                continue
+            cands = [b for b in through[p] if not blocks[b] & covered]
+            if not cands:
+                return True
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(cands) == 1:
+                    break
+        for b in best:
+            chosen.append(b)
+            keep_going = search(covered | blocks[b])
+            chosen.pop()
+            if not keep_going:
+                return False
+        return True
+
+    search(set())
+    spreads = [Spread(n, tuple(gens[b] for b in sol)) for sol in found]
+    return sorted(spreads, key=Spread.sort_key)
+
+
+@pytest.mark.parametrize("n,limit", [(1, None), (2, None), (3, 1), (3, 2), (3, 7), (3, 100), (3, 1000)])
+def test_enumerate_spreads_matches_reference_search(n, limit):
+    assert enumerate_spreads(n, limit=limit) == _reference_spread_search(n, limit)
+
+
+def test_enumerate_spreads_n4_sorted_past_cap(monkeypatch):
+    # at N <= 3 the search happens to find spreads in canonical order; at N=4 it does not
+    monkeypatch.setitem(CAPS, "spread search", 4)
+    spreads = enumerate_spreads(4, limit=5)
+    assert spreads == _reference_spread_search(4, limit=5)
+    keys = [s.sort_key() for s in spreads]
+    assert len(set(keys)) == 5 and keys == sorted(keys)
+
+
+def test_enumerate_spreads_n3_all():
+    spreads = enumerate_spreads(3, limit=1000)
+    keys = [s.sort_key() for s in spreads]
+    assert len(keys) == len(set(keys)) == 960
+    assert keys == sorted(keys)
+    assert desarguesian_spread(3).sort_key() in keys
+
+
 def test_spread_blocks_closed_under_addition():
     for spread in (desarguesian_spread(2), desarguesian_spread(3), enumerate_spreads(3, limit=1)[0]):
         for block in spread.blocks:
