@@ -32,7 +32,6 @@ from .gf2 import (
 )
 from .gf2n import (
     MODULI,
-    DualBasisPair,
     FieldElement,
     dual_basis,
     elements,
@@ -69,9 +68,6 @@ from .verify import Check, VerificationReport, run_verification
 
 __version__ = "0.1.0"
 
-MAX_QUBITS = CAPS["qubit count"]
-MAX_ORACLE_QUBITS = CAPS["matrix oracle"]
-
 
 # cli is imported on first use (PEP 562), so ``python -m qpolar.cli`` does
 # not find it already in sys.modules and runpy has nothing to warn about
@@ -89,13 +85,10 @@ __all__ = [
     "Check",
     "DimensionMismatch",
     "DomainError",
-    "DualBasisPair",
     "ExactMatrix",
     "FieldElement",
     "GQReport",
     "IdentityWordError",
-    "MAX_ORACLE_QUBITS",
-    "MAX_QUBITS",
     "MODULI",
     "NotABasisError",
     "PolarSpaceParams",

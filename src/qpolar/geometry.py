@@ -167,7 +167,6 @@ class Spread:
         if len(self.blocks) != p.spread_size:
             raise DomainError(f"spread must have {p.spread_size} blocks, found {len(self.blocks)}")
         seen: set[int] = set()
-        total = 0
         for block in self.blocks:
             if block.n != self.n:
                 raise DomainError("block qubit count differs from spread")
@@ -177,9 +176,7 @@ class Spread:
             if seen & keys:
                 raise DomainError("spread blocks overlap")
             seen |= keys
-            total += len(keys)
-        if total != p.point_count:
-            raise DomainError(f"spread covers {total} of {p.point_count} points")
+        # 2^N + 1 disjoint blocks of 2^N - 1 points each cover all 4^N - 1 points
 
     def sort_key(self) -> tuple:
         return tuple(block.sort_key() for block in self.blocks)
@@ -208,7 +205,7 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     if n > cap:
         raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
 
-    dual = gf2n.dual_basis(gf2n.polynomial_basis(n)).dual
+    dual = gf2n.dual_basis(gf2n.polynomial_basis(n))
     units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
 
     def x_part(a: gf2n.FieldElement) -> int:  # the coefficient of x^i becomes e_i

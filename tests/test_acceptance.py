@@ -188,9 +188,10 @@ def test_criterion_9_property_suites():
             ):
                 failures.append("field-axioms")
                 break
-        pair = dual_basis(polynomial_basis(n))
-        if any(
-            trace(fmul(pair.primal[i], pair.dual[j])) != (1 if i == j else 0)
+        primal = polynomial_basis(n)
+        dual = dual_basis(primal)
+        if len(dual) != n or any(
+            trace(fmul(primal[i], dual[j])) != (1 if i == j else 0)
             for i in range(n)
             for j in range(n)
         ):

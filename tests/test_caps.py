@@ -4,8 +4,6 @@ import pytest
 
 from qpolar import (
     CAPS,
-    MAX_ORACLE_QUBITS,
-    MAX_QUBITS,
     MODULI,
     CapacityError,
     DimensionMismatch,
@@ -42,7 +40,7 @@ GUARDED = {
 
 def test_every_table_entry_is_guarded():
     assert set(CAPS) <= set(GUARDED)
-    assert (MAX_QUBITS, MAX_ORACLE_QUBITS) == (12, 6)
+    assert (CAPS["qubit count"], CAPS["matrix oracle"]) == (12, 6)
 
 
 @pytest.mark.parametrize("name", list(GUARDED))

@@ -249,6 +249,8 @@ def test_spread_validation_rejects_bad_block_sets():
         Spread(2, good.blocks[:-1] + (not_gen,))
     with pytest.raises(DomainError):
         Spread(2, good.blocks[:-1] + (rref([], 2),))  # rank 0: no smallest point to order by
+    with pytest.raises(DomainError, match="qubit count differs"):
+        Spread(2, good.blocks[:-1] + (desarguesian_spread(3).blocks[0],))
 
 
 def test_enumerate_spreads_n1():
