@@ -25,7 +25,7 @@ from .geometry import desarguesian_spread, enumerate_generators, enumerate_sprea
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
 from .gf2 import _perp_mask, span_points  # noqa: F401
-from .pauli import _key_to_word, commutes, commutes_matrix, mcs_of_generator
+from .pauli import _keys_to_words, commutes, commutes_matrix, mcs_of_generator
 from .verify import run_verification
 
 
@@ -56,13 +56,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    # one string per distinct word while every block is held for output:
-    # N=4 renders 34,425 words, of which 255 are distinct
-    words: dict[str, str] = {}
-    blocks = [
-        [words.setdefault(w, w) for w in _block_words(g)]
-        for g in enumerate_generators(args.n_qubits)
-    ]
+    blocks = [_block_words(g) for g in enumerate_generators(args.n_qubits)]
     if args.format == "json":
         _emit_json(args.n_qubits, "generators", blocks)
     else:
@@ -98,7 +92,8 @@ def cmd_spread(args) -> int:
 def cmd_graph(args) -> int:
     n = args.n_qubits
     check_cap("graph", n)
-    points = sorted((_key_to_word(key, n), key) for key in range(1, 1 << (2 * n)))
+    keys = range(1, 1 << (2 * n))
+    points = sorted(zip(_keys_to_words(keys, n), keys))
     adjacency = []
     for w, key in points:
         perp = _perp_mask(key, n) ^ (1 << (key - 1))  # no point is its own neighbour

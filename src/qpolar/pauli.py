@@ -14,6 +14,8 @@ commutation is phase-invariant, so nothing observable is lost.  (Y is
 the X-then-Z composition up to the phase -i, which the quotient
 absorbs.)  Any symplectic change of basis would give an equally valid
 dictionary; this letterwise one is the package-wide convention.
+Words are rendered from packed keys four qubits per lookup, from one
+256-entry table derived from the letter encoding.
 
 The independent route that grounds the dictionary is ExactMatrix:
 literal Kronecker products of the four single-qubit matrices over the
@@ -68,18 +70,36 @@ def pauli_to_vector(word: str) -> SymplecticVector:
     return SymplecticVector(n, x, z)
 
 
-def _key_to_word(key: int, n: int) -> str:
-    """The word of the packed point key = (x << n) | z, qubit 1 leftmost."""
-    # z keeps the x-part above bit n, but the shifts below never reach it
-    x, z = key >> n, key
-    return "".join([_XZ_TO_LETTER[(x >> s) & 1, (z >> s) & 1] for s in range(n - 1, -1, -1)])
+def _double(table: list[str], q: int) -> list[str]:
+    """A q-qubit word table, indexed (x << q) | z, widened to 2q qubits."""
+    low, r = (1 << q) - 1, range(1 << 2 * q)
+    return [table[(x >> q) << q | z >> q] + table[(x & low) << q | z & low] for x in r for z in r]
+
+
+# entry (x4 << 4) | z4 is the word of one 4-qubit chunk, leading I's kept
+_CHUNKS = tuple(_double(_double([_XZ_TO_LETTER[x, z] for x in (0, 1) for z in (0, 1)], 1), 2))
+
+
+def _keys_to_words(keys, n: int) -> list[str]:
+    """Words of packed keys (x << n) | z: one _CHUNKS lookup per 4 qubits, padding I's sliced off.
+
+    Each chunk is one pass over the sequence keys, top chunk first.  At
+    N = 4 the slice is whole, so every word is a _CHUNKS string itself.
+    """
+    chunks, top = _CHUNKS, 4 * ((n - 1) // 4)
+    # x >> top has at most 4 bits; z is unmasked, as x bits above bit n land on the padding
+    xs, cut = n + top, -n % 4
+    words = [chunks[(k >> xs) << 4 | k >> top & 15][cut:] for k in keys]
+    for s in range(top - 4, -1, -4):
+        words = [w + chunks[(k >> n + s & 15) << 4 | k >> s & 15] for w, k in zip(words, keys)]
+    return words
 
 
 def vector_to_pauli(v: SymplecticVector) -> str:
     """Inverse of pauli_to_vector."""
     if v.is_zero:
         raise ZeroVectorError("the zero vector corresponds to the excluded identity")
-    return _key_to_word(v.key, v.n)
+    return _keys_to_words((v.key,), v.n)[0]
 
 
 def commutes(p: str, q: str) -> bool:
@@ -223,4 +243,4 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     """
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-    return [_key_to_word(k, g.n) for k in sorted(_span_keys(g))]
+    return _keys_to_words(sorted(_span_keys(g)), g.n)

@@ -1,5 +1,6 @@
 """Word encoding, exact matrix oracle, and the commuting = perpendicular bridge."""
 
+import random
 from functools import lru_cache
 from itertools import product
 
@@ -28,6 +29,7 @@ from qpolar import (
     validate_word,
     vector_to_pauli,
 )
+from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words
 
 # single-letter products with the phase stripped, derived by hand from
 # XY = iZ, YZ = iX, ZX = iY and P^2 = I; used as an oracle independent
@@ -127,6 +129,38 @@ def test_encoding_is_a_bijection(n):
     assert set(vectors) == set(all_points(n))
     for w, v in zip(words, vectors):
         assert vector_to_pauli(v) == w
+
+
+def test_chunk_table_against_letterwise_reference():
+    # entry (x4 << 4) | z4, spelled letter by letter, qubit 1 at bit 3
+    letter_of = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
+    assert len(_CHUNKS) == 256
+    for index, word in enumerate(_CHUNKS):
+        x4, z4 = index >> 4, index & 15
+        assert word == "".join(letter_of[(x4 >> s) & 1, (z4 >> s) & 1] for s in (3, 2, 1, 0))
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 12])
+def test_multi_chunk_round_trip(n):
+    # N = 5 and 9 leave a partial top chunk, N = 8 and 12 fill every chunk
+    rng = random.Random(20260826)
+    keys = [rng.randrange(1, 1 << (2 * n)) for _ in range(2000)]
+    top = 1 << (n - 1)
+    extremes = {
+        1: "I" * (n - 1) + "Z",
+        (1 << (2 * n)) - 1: "Y" * n,
+        top << n: "X" + "I" * (n - 1),
+        top: "Z" + "I" * (n - 1),
+        1 << n: "I" * (n - 1) + "X",
+    }
+    keys += list(extremes)
+    words = _keys_to_words(keys, n)
+    for key, word in zip(keys, words):
+        v = SymplecticVector(n, key >> n, key & ((1 << n) - 1))
+        assert len(word) == n
+        assert vector_to_pauli(v) == word
+        assert pauli_to_vector(word) == v
+    assert words[-len(extremes):] == list(extremes.values())
 
 
 def test_commutes_goldens():
@@ -319,8 +353,10 @@ def test_mcs_of_generator():
 
 
 def test_mcs_words_are_ordered_by_point():
-    for g in enumerate_generators(2):
+    blocks = [g for n in (1, 2, 3, 4) for g in enumerate_generators(n)]
+    for g in blocks + list(desarguesian_spread(5).blocks):
         words = mcs_of_generator(g)
+        assert all(len(w) == g.n for w in words)
         keys = [pauli_to_vector(w).key for w in words]
         assert keys == sorted(keys)
 
