@@ -24,13 +24,13 @@ class CapacityError(QPolarError):
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
 # shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
 # count cap; verify takes the generator enumeration cap, as it enumerates
-# generators (verify 4: about 0.04 s, 0.9 s with --oracle); constructed spreads
+# generators (verify 4: about 0.035 s, about 1 s with --oracle); constructed spreads
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
 # (desarguesian_spread(5): about 0.006 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
-    # enumerate_generators(4): about 0.04 s for 2,295 subspaces; N=5 would take
-    # about 2.1 s for 75,735 (measured with this entry raised to 5)
+    # enumerate_generators(4): about 0.02 s for 2,295 subspaces; N=5 would take
+    # about 1.4 s for 75,735 (measured with this entry raised to 5)
     "generator enumeration": 4,
     "spread search": 3,  # enumerate_spreads(3, limit=1): about 3 ms
     # about 0.7 ms for 6 spreads; all 960 at N=3 take about 0.24 s, of which

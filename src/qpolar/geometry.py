@@ -12,14 +12,18 @@ A set of points is a bitmask with point key k as bit k - 1.
 
 Generators (maximal totally isotropic subspaces, vector rank N) are
 enumerated depth-first over reduced-row-echelon bases of packed keys.
-Each node holds one bitmask, the points perpendicular to every chosen
-row; its candidate rows are those whose pivot lies strictly right of the
-last one.  It walks the pivot (leading) bits from left to right, skips a
-pivot already set in a chosen row, and takes each candidate with that
-leading bit; the child's mask is the node's ANDed with the new row's
-perpendicular mask, one big-int AND.  Every generator thus comes from
-its unique RREF exactly once, in a fixed order, with no dedup pass.  The
-basis rows are shared SymplecticVectors, one per point.
+A node holds two ints: the live keys, those that may still be the next
+row, and the number of rows left to choose.  A per-call table gives,
+for each key, the points perpendicular to it minus every key whose
+leading (pivot) bit it has set, as no later row of a reduced basis may
+have a pivot set in an earlier one.  A node takes the lead of its top
+live key, tries that lead's keys in ascending order and drops them
+from live, and repeats while some live key leaves room for the pivots
+of the remaining rows.  Each child's live keys are the node's remaining
+ones ANDed with the new row's table entry, one big-int AND, and a child
+with none is not entered.  Every generator thus comes from its unique
+RREF exactly once, in a fixed order, with no dedup pass.  The basis rows
+are shared SymplecticVectors, one per point.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -101,33 +105,43 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     mask = (1 << n) - 1
     # one validated vector per point, shared by every basis that uses it as a row
     points = [SymplecticVector(n, key >> n, key & mask) for key in range(1, 1 << (2 * n))]
-    perps = [_perp_mask(key, n) for key in range(1 << (2 * n))]
+    # per key: the points perpendicular to it, less those led by a bit set in it
+    follows = []
+    for key in range(1 << (2 * n)):
+        barred, bits = 0, key
+        while bits:  # the keys led by 2^b are bits 2^b - 1 .. 2^(b+1) - 2
+            low = bits & -bits
+            bits ^= low
+            barred |= ((1 << low) - 1) << (low - 1)
+        follows.append(_perp_mask(key, n) & ~barred)
     out: list[Subspace] = []
     rows: list[int] = []
 
-    def extend(cands: int, top: int, used: int) -> None:
-        # cands: the points perpendicular to every row, of which only those below
-        # the last row's leading bit ``top`` are read; used: the rows ORed together
-        left = n - len(rows)
-        room = 1 << (left - 1)  # leave room for the remaining pivots
-        lead = top >> 1
-        while lead >= room:
-            # keys lead .. 2*lead - 1 are bits lead - 1 .. 2*lead - 2; a pivot set in
-            # an earlier row cannot lead a reduced row, so that lead gets none
-            group = 0 if used & lead else cands >> (lead - 1) & ((1 << lead) - 1)
+    def extend(live: int, left: int) -> None:
+        # live: the keys that may be the next row, all below the last row's
+        # leading bit; left: the rows still to choose, so the next lead is at
+        # least 2^(left - 1), key bit 2^(left - 1) - 1
+        floor = (1 << (left - 1)) - 1
+        while live >> floor:
+            # live.bit_length() is the top live key; its lead's group, keys
+            # lead .. 2*lead - 1 (bits lead - 1 .. 2*lead - 2), leaves live first
+            lead = 1 << (live.bit_length().bit_length() - 1)
+            group = live >> (lead - 1)
+            live &= (1 << (lead - 1)) - 1
             while group:
                 low = group & -group
                 group ^= low
                 cand = lead + low.bit_length() - 1
                 rows.append(cand)
                 if left == 1:
-                    out.append(Subspace(n, tuple(points[k - 1] for k in rows)))
+                    out.append(Subspace(n, tuple([points[k - 1] for k in rows])))
                 else:
-                    extend(cands & perps[cand], lead, used | cand)
+                    child = live & follows[cand]
+                    if child:
+                        extend(child, left - 1)
                 rows.pop()
-            lead >>= 1
 
-    extend((1 << len(points)) - 1, 1 << (2 * n), 0)
+    extend((1 << len(points)) - 1, n)
     return out
 
 

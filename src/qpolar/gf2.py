@@ -135,18 +135,27 @@ class Subspace:
     basis: tuple[SymplecticVector, ...]
 
     def __post_init__(self) -> None:
-        check_cap("qubit count", self.n, error=DimensionMismatch)
+        n = self.n
+        check_cap("qubit count", n, error=DimensionMismatch)
+        # one pass; the order and reduction verdicts wait until every row is checked
+        ordered = reduced = True
+        prev, above = 1 << 2 * n, 0  # the last row's leading bit; every earlier row ORed together
         for row in self.basis:
-            if row.n != self.n:
+            if row.n != n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
-            if row.is_zero:
+            key = row.x << n | row.z
+            if not key:
                 raise DomainError("zero row in basis")
-        keys = [row.key for row in self.basis]
-        leads = [1 << (key.bit_length() - 1) for key in keys]  # pivots increase as these fall
-        if any(a <= b for a, b in zip(leads, leads[1:])):
+            lead = 1 << (key.bit_length() - 1)  # pivots increase as these fall
+            if lead >= prev:
+                ordered = False
+            elif lead & above:  # once ordered, only an earlier row can hold this pivot
+                reduced = False
+            prev = lead
+            above |= key
+        if not ordered:
             raise DomainError("basis pivots must strictly increase")
-        all_leads = sum(leads)
-        if any(key & all_leads != lead for key, lead in zip(keys, leads)):
+        if not reduced:
             raise DomainError("basis is not fully reduced")
 
     @property

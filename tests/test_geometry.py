@@ -26,6 +26,7 @@ from qpolar import (
     trace,
 )
 from qpolar.errors import CAPS
+from qpolar.gf2 import _perp_mask
 
 
 @pytest.mark.parametrize(
@@ -127,6 +128,13 @@ def test_generator_count_at_n5_by_enumeration(monkeypatch):
     assert len(set(gens)) == len(gens)
     keys = [g.sort_key() for g in gens]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    # every basis is 5 independent rows, pairwise perpendicular
+    perps = [_perp_mask(key, 5) for key in range(1 << 10)]
+    for g in gens:
+        rows = [row.key for row in g.basis]
+        assert len({key.bit_length() for key in rows}) == 5  # distinct leading bits
+        common = perps[rows[0]] & perps[rows[1]] & perps[rows[2]] & perps[rows[3]] & perps[rows[4]]
+        assert all(common >> (key - 1) & 1 for key in rows), g
 
 
 def test_generators_capacity():

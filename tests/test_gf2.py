@@ -209,6 +209,37 @@ def test_subspace_accepts_exactly_the_rref_bases():
                 assert constructed == (rref(basis, n).basis == basis), basis
 
 
+def _reference_subspace_error(n, basis):
+    """The construction checks in their fixed order: the first failure's (type, message), or None."""
+    for row in basis:
+        if row.n != n:
+            return DimensionMismatch, "basis rows must match the subspace qubit count"
+        if row.is_zero:
+            return DomainError, "zero row in basis"
+    keys = [row.key for row in basis]
+    leads = [1 << (key.bit_length() - 1) for key in keys]
+    if any(a <= b for a, b in zip(leads, leads[1:])):
+        return DomainError, "basis pivots must strictly increase"
+    if any(key & sum(leads) != lead for key, lead in zip(keys, leads)):
+        return DomainError, "basis is not fully reduced"
+    return None
+
+
+def test_subspace_raises_the_first_failing_check():
+    for n in (1, 2):
+        other = 3 - n  # two rows over the other qubit count, one of them zero
+        rows = [SymplecticVector(n, 0, 0), *all_points(n)]
+        rows += [SymplecticVector(other, 0, 0), SymplecticVector(other, 1, 0)]
+        for size in range(4):
+            for basis in itertools.product(rows, repeat=size):
+                try:
+                    Subspace(n, basis)
+                    got = None
+                except QPolarError as err:
+                    got = type(err), str(err)
+                assert got == _reference_subspace_error(n, basis), basis
+
+
 @pytest.mark.parametrize("n,keys,message", [
     # a stray pivot bit in a row above the pivot row
     (2, (0b1100, 0b0100), "not fully reduced"),
