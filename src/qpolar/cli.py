@@ -123,8 +123,15 @@ def cmd_commute(args) -> int:
     return 0 if verdict and verdict == matrix_verdict else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one ``error:`` line; subparsers share it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpolar",
         description="Pauli commutation structure as a binary symplectic geometry.",
     )

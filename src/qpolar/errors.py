@@ -24,7 +24,7 @@ class CapacityError(QPolarError):
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
 # shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
 # count cap; verify takes the generator enumeration cap, as it enumerates
-# generators (verify 4: about 0.035 s, about 1 s with --oracle); constructed spreads
+# generators (verify 4: about 0.025 s, about 1.2 s with --oracle); constructed spreads
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
 # (desarguesian_spread(5): about 0.006 s).
 CAPS = {

@@ -26,7 +26,8 @@ a point's perpendicular set with key k as bit k - 1.
 
 Subspaces are kept in reduced row echelon form with pivots taken left
 to right across (x | z), so equal subspaces always carry identical
-basis tuples.
+basis tuples.  ``_reduce``, the package's one GF(2) row reduction, also
+gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
 """
 
 from __future__ import annotations
@@ -192,6 +193,13 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     if n is None:
         raise DimensionMismatch("empty input needs an explicit n_qubits")
 
+    mask = (1 << n) - 1
+    basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in _reduce(rows))
+    return Subspace(n, basis)
+
+
+def _reduce(rows: Iterable[int]) -> list[int]:
+    """The fully reduced nonzero rows spanning ``rows``, by descending leading bit."""
     # kept fully reduced and sorted by descending leading bit; an xor with a
     # reduced row is smaller exactly when it clears that row's pivot
     reduced: list[int] = []
@@ -202,10 +210,7 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
             reduced = [min(piv, piv ^ row) for piv in reduced]
             reduced.append(row)
             reduced.sort(reverse=True)
-
-    mask = (1 << n) - 1
-    basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in reduced)
-    return Subspace(n, basis)
+    return reduced
 
 
 def _span_keys(s: Subspace) -> list[int]:

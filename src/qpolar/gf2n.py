@@ -9,7 +9,8 @@ of the package is reproducible bit for bit:
 
 The only consumer is the field-plane spread construction, which needs
 multiplication and the trace-dual of the polynomial basis
-{1, x, ..., x^(n-1)}; the absolute trace is used to compute that dual.
+{1, x, ..., x^(n-1)}; that dual comes from the basis's trace Gram matrix,
+inverted by gf2._reduce, the package's one GF(2) row reduction.
 dual_basis returns it as a tuple of FieldElements.  Results are not
 re-checked per call: tests/test_gf2n.py checks Tr(p_i * delta_j) = [i == j]
 (test_dual_basis_delta_identities, test_dual_basis_matches_definition_*)
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DimensionMismatch, DomainError, NotABasisError
+from .gf2 import _reduce
 
 MODULI = {
     1: 0b11,
@@ -105,7 +107,8 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
     """The unique trace-dual (delta_0, ..., delta_(n-1)) of a GF(2)-basis.
 
     Inverts the trace Gram matrix G_ij = Tr(primal_i * primal_j) over
-    GF(2); a singular Gram matrix means the input is not a basis.
+    GF(2) by reducing [G | I] with gf2._reduce; a singular Gram matrix
+    means the input is not a basis.
     test_dual_basis_matches_definition_* checks Tr(primal_i * delta_j) =
     [i == j] against a brute-force search, so it is not re-checked here.
     """
@@ -115,30 +118,21 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
     if len(primal) != n or any(e.n != n for e in primal):
         raise NotABasisError(f"need exactly {n} elements of degree {n}")
 
-    gram = [sum(trace(fmul(primal[i], primal[j])) << j for j in range(n)) for i in range(n)]
-    inv = _invert_gf2(gram, n)
-    if inv is None:
+    # [G | I], with column j of G at bit 2n-1-j and of I at bit n-1-j; reduced,
+    # it is [I | G^-1], row j pivoting on column j, unless G is singular
+    aug = [
+        sum(trace(fmul(primal[i], primal[j])) << (2 * n - 1 - j) for j in range(n)) | 1 << (n - 1 - i)
+        for i in range(n)
+    ]
+    inv = _reduce(aug)
+    if not inv[-1] >> n:
         raise NotABasisError("trace Gram matrix is singular: primal is not a basis")
 
     dual = []
     for j in range(n):
         acc = zero(n)
         for k in range(n):
-            if (inv[k] >> j) & 1:
+            if (inv[j] >> (n - 1 - k)) & 1:  # G^-1 is symmetric as G is: row j is column j
                 acc = acc ^ primal[k]
         dual.append(acc)
     return tuple(dual)
-
-
-def _invert_gf2(rows: list[int], n: int) -> list[int] | None:
-    """Invert an n x n GF(2) matrix given as row bitmasks; None if singular."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if (aug[r] >> col) & 1), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return [row >> n for row in aug]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import desarguesian_spread, enumerate_generators, params
-from .gf2 import _perp_mask, _span_keys
+from .gf2 import _perp_mask
 from .pauli import commutation_sweep
 
 
@@ -57,14 +57,20 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     # first, so the generator enumeration cap is verify's cap before any count runs
     gens = enumerate_generators(n_qubits)
     checks: list[Check] = []
-    # one perpendicular mask per enumerated point key, for eq1 and eq5
+    # one perpendicular mask per enumerated point key, for eq1, eq4 and eq5
     perps = [_perp_mask(key, n_qubits) for key in range(1, 1 << (2 * n_qubits))]
 
     checks.append(Check("eq1_point_count", p.point_count, len(perps)))
 
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
 
-    sizes = {len(_span_keys(g)) for g in gens}
+    sizes = set()
+    for g in gens:
+        keys = [row.key for row in g.basis]
+        commutant = -1  # the points perpendicular to every row: g itself when g is maximal isotropic
+        for key in keys:
+            commutant &= perps[key - 1]
+        sizes.add(commutant.bit_count() if all(commutant >> (key - 1) & 1 for key in keys) else -1)
     size_actual = sizes.pop() if len(sizes) == 1 else -1
     checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpolar
-from qpolar import canonical_json, run_verification
+from qpolar import canonical_json, pauli_to_vector, rref, run_verification
 from qpolar.cli import main
 
 
@@ -65,6 +65,14 @@ def test_report_overall_is_conjunction():
     report = run_verification(2)
     assert report.overall == all(c.ok for c in report.checks)
     assert report.overall
+
+
+def test_eq4_fails_on_a_generator_that_is_not_isotropic(monkeypatch):
+    gens = qpolar.enumerate_generators(2)
+    x1_z1 = rref([pauli_to_vector("XI"), pauli_to_vector("ZI")])  # rank 2, but X1 and Z1 anticommute
+    monkeypatch.setattr("qpolar.verify.enumerate_generators", lambda n: [x1_z1, *gens[1:]])
+    failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
+    assert failed == {"eq4_generator_size": -1}
 
 
 def test_generators_n1_text(capsys):
@@ -228,6 +236,22 @@ def test_commute_usage_errors(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "x"], ["frobnicate", "2"], [], ["spread", "2", "--limit", "abc"], ["verify", "2", "--format", "xml"]],
+)
+def test_argparse_usage_error_prints_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["-h"], ["verify", "-h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: qpolar")
 
 
 def test_python_dash_m_runs_the_cli():

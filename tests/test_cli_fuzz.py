@@ -10,8 +10,10 @@ st = hypothesis.strategies
 
 from qpolar.cli import main  # noqa: E402
 
-N = st.integers(-1, 6).map(str)
-LIMIT = st.integers(-1, 3).map(str)
+# a few tokens that are not integers, which argparse itself rejects
+NOT_INT = st.sampled_from(["x", "1.5", ""])
+N = st.integers(-1, 6).map(str) | NOT_INT
+LIMIT = st.integers(-1, 3).map(str) | NOT_INT
 WORD = st.text("IXYZ", max_size=13) | st.text(max_size=4)
 
 
