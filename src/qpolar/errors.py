@@ -24,7 +24,7 @@ class CapacityError(QPolarError):
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
 # shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
 # count cap; verify takes the generator enumeration cap, as it enumerates
-# generators (verify 4: about 0.025 s, about 1.2 s with --oracle); constructed spreads
+# generators (verify 4: about 0.025 s, about 0.6 s with --oracle); constructed spreads
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
 # (desarguesian_spread(5): about 0.006 s).
 CAPS = {
@@ -36,7 +36,7 @@ CAPS = {
     # about 0.7 ms for 6 spreads; all 960 at N=3 take about 0.24 s, of which
     # the cover search is about 0.02 s and Spread validation most of the rest
     "full spread enumeration": 2,
-    "matrix oracle": 6,  # commutes_matrix at N=6: about 0.025 ms a pair, cache cold
+    "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }
 

@@ -14,16 +14,21 @@ commutation is phase-invariant, so nothing observable is lost.  (Y is
 the X-then-Z composition up to the phase -i, which the quotient
 absorbs.)  Any symplectic change of basis would give an equally valid
 dictionary; this letterwise one is the package-wide convention.
-Words are rendered from packed keys four qubits per lookup, from one
-256-entry table derived from the letter encoding.
+A word is parsed by two str.translate passes that spell its x bits and
+its z bits as binary digits for int(); words are rendered from packed
+keys four qubits per lookup.  Every such table derives from the letter
+encoding.
 
 The independent route that grounds the dictionary is ExactMatrix:
 literal Kronecker products of the four single-qubit matrices over the
 Gaussian integers, where "commuting" means AB and BA are exactly equal.
 Pauli tensor products are monomial (one unit of {1, i, -1, -i} per row
 and column), so rows are stored as (column, exponent of i mod 4) and
-products add exponents exactly.  The matrices come from literal 2x2
-tables, never from x/z bits, so the oracle is independent of the form.
+products add exponents exactly.  The commutation test compares AB and
+BA row by row, each row's column and exponent read straight from the
+factors, and stops at the first row that differs, so neither product
+is built.  The matrices come from literal 2x2 tables, never from x/z
+bits, so the oracle is independent of the form.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from .gf2 import Subspace, SymplecticVector, _span_keys, sp_form
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
+# str.translate tables spelling a word's x bits, and its z bits, as binary digits
+_X_BITS = str.maketrans({letter: str(x) for letter, (x, _) in _LETTER_TO_XZ.items()})
+_Z_BITS = str.maketrans({letter: str(z) for letter, (_, z) in _LETTER_TO_XZ.items()})
 
 
 def validate_word(word: str) -> str:
@@ -58,16 +66,12 @@ def all_words(n_qubits: int):
 
 def pauli_to_vector(word: str) -> SymplecticVector:
     """Letterwise encoding of a non-identity word into its point."""
-    validate_word(word)
-    n = len(word)
-    x = z = 0
-    for k, ch in enumerate(word):
-        xb, zb = _LETTER_TO_XZ[ch]
-        x |= xb << (n - 1 - k)
-        z |= zb << (n - 1 - k)
+    if not word or word.strip(LETTERS):  # a non-letter is left: name it
+        validate_word(word)
+    x, z = int(word.translate(_X_BITS), 2), int(word.translate(_Z_BITS), 2)
     if x == 0 and z == 0:
         raise IdentityWordError("the identity word has no point in the space")
-    return SymplecticVector(n, x, z)
+    return SymplecticVector(len(word), x, z)
 
 
 def _double(table: list[str], q: int) -> list[str]:
@@ -177,6 +181,18 @@ class ExactMatrix:
             tuple([(p + b_phases[c]) & 3 for c, p in zip(self.cols, self.phases)]),
         )
 
+    def commutes_with(self, other: "ExactMatrix") -> bool:
+        """Whether self @ other == other @ self, compared row by row with no product built."""
+        if self.dim != other.dim:
+            raise DimensionMismatch("matrix dimensions differ")
+        a_cols, a_phases, b_cols, b_phases = self.cols, self.phases, other.cols, other.phases
+        # row r of A is i**p in column c, of B i**q in column d; so row r of AB
+        # is i**(p + b_phases[c]) in column b_cols[c], of BA i**(q + a_phases[d]) in a_cols[d]
+        for c, d, p, q in zip(a_cols, b_cols, a_phases, b_phases):
+            if b_cols[c] != a_cols[d] or (p + b_phases[c] - q - a_phases[d]) & 3:
+                return False
+        return True
+
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product with self as the outer (left) factor."""
         d2 = other.dim
@@ -213,8 +229,7 @@ def commutes_matrix(p: str, q: str) -> bool:
     """Brute-force commutation: the exact products AB and BA are equal."""
     if len(p) != len(q):
         raise DimensionMismatch(f"words of length {len(p)} and {len(q)} cannot be compared")
-    a, b = pauli_matrix(p), pauli_matrix(q)
-    return a @ b == b @ a
+    return pauli_matrix(p).commutes_with(pauli_matrix(q))
 
 
 def commutation_sweep(n_qubits: int) -> tuple[int, int]:

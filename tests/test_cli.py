@@ -324,6 +324,9 @@ OUTPUT_GOLDENS = [
     ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
     ("graph 3", 0, "920ebc357583451518ca10f88bbbb8a9edf655eb589423b49a03e5f1c9cfa1b6"),
     ("graph 3 --format json", 0, "9987db012376504d9d31dfc1c8123a21eeda20b84903ee3d79582135cf2f72e5"),
+    ("verify 3 --oracle", 0, "9413fed67b25c17e94876aba0498597e86c2cea4eb9b0f95eb8ea0279304da1c"),
+    ("verify 3 --oracle --format json", 0, "4787f7d7ba8eeb340c594193db32bf4080e73dbffb0a94de62bf17a0a5fa96d4"),
+    ("commute XYZ ZYX --oracle", 0, "f4b7e66fde887c29973697c2abd3e62f8e91f8b98f28e86e54f5a2d1b328b682"),
 ]
 
 

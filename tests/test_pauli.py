@@ -120,6 +120,55 @@ def test_encoding_goldens():
         vector_to_pauli(SymplecticVector(2, 0, 0))
 
 
+def _letter_error(ch, word):
+    return DomainError, f"invalid Pauli letter {ch!r} in {word!r} (allowed: I, X, Y, Z)"
+
+
+_IDENTITY_ERROR = IdentityWordError, "the identity word has no point in the space"
+_QUBIT_CAP_ERROR = DimensionMismatch, "qubit count is capped at N<=12; N=13 was requested"
+
+
+# int() alone would take "_", spaces and Unicode digits such as "١"; the
+# parse must name each of them, and the identity check precedes the cap
+@pytest.mark.parametrize("word,expected", [
+    ("", (DomainError, "empty Pauli word")),
+    ("X_Z", _letter_error("_", "X_Z")),
+    ("1", _letter_error("1", "1")),
+    ("10", _letter_error("1", "10")),
+    (" X", _letter_error(" ", " X")),
+    ("X ", _letter_error(" ", "X ")),
+    ("xz", _letter_error("x", "xz")),
+    ("X\u0661", _letter_error("\u0661", "X\u0661")),
+    ("II", _IDENTITY_ERROR),
+    ("I" * 13, _IDENTITY_ERROR),
+    ("X" * 13, _QUBIT_CAP_ERROR),
+])
+def test_pauli_to_vector_error_contract(word, expected):
+    with pytest.raises(QPolarError) as err:
+        pauli_to_vector(word)
+    assert (type(err.value), str(err.value)) == expected
+
+
+def _length_error(m, n):
+    return DimensionMismatch, f"words of length {m} and {n} cannot be compared"
+
+
+@pytest.mark.parametrize("p,q,symplectic,matrix", [
+    ("II", "X", _IDENTITY_ERROR, _length_error(2, 1)),
+    ("XA", "XX", _letter_error("A", "XA"), _letter_error("A", "XA")),
+    ("X", "XX", _length_error(1, 2), _length_error(1, 2)),
+    ("X" * 13, "Z" * 13, _QUBIT_CAP_ERROR, (
+        CapacityError, "matrix oracle is capped at N<=6; N=13 was requested (2^13 x 2^13 matrices)",
+    )),
+    ("XX", "I_", _letter_error("_", "I_"), _letter_error("_", "I_")),
+])
+def test_commutation_routes_error_contract(p, q, symplectic, matrix):
+    for route, expected in ((commutes, symplectic), (commutes_matrix, matrix)):
+        with pytest.raises(QPolarError) as err:
+            route(p, q)
+        assert (type(err.value), str(err.value)) == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encoding_is_a_bijection(n):
     words = nonidentity_words(n)
@@ -272,6 +321,43 @@ def test_commutes_matrix_goldens():
     assert times_i(z, 1).im == ((1, 0), (0, -1))
     with pytest.raises(DimensionMismatch):
         commutes_matrix("X", "XX")
+
+
+def random_monomial(rng, dim):
+    """A dim x dim monomial matrix with shuffled columns and unit entries.
+
+    Half are one random unit times a permutation matrix, so AB and BA
+    agree in every phase and only their columns can tell them apart; the
+    rest take a random unit in each row.
+    """
+    cols = rng.sample(range(dim), dim)
+    scalar = rng.random() < 0.5
+    phases = [rng.randrange(4)] * dim if scalar else [rng.randrange(4) for _ in range(dim)]
+    re, im = [[0] * dim for _ in range(dim)], [[0] * dim for _ in range(dim)]
+    for r, (c, k) in enumerate(zip(cols, phases)):
+        re[r][c], im[r][c] = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+    return ExactMatrix(re, im)
+
+
+def test_commutes_with_matches_the_literal_products():
+    paulis = [pauli_matrix(w) for n in (1, 2, 3) for w in all_words(n)]
+    for a in paulis:
+        for b in paulis:
+            if a.dim == b.dim:
+                assert a.commutes_with(b) == (a @ b == b @ a)
+    rng = random.Random(20260826)
+    column_splits = 0
+    for _ in range(2000):
+        dim = rng.randint(1, 8)
+        a, b = random_monomial(rng, dim), random_monomial(rng, dim)
+        ab, ba = a @ b, b @ a
+        assert a.commutes_with(b) == (ab == ba)
+        # Pauli column maps are XOR masks, which commute: only these pairs
+        # exercise the column comparison
+        column_splits += ab.cols != ba.cols
+    assert column_splits > 0
+    with pytest.raises(DimensionMismatch):
+        pauli_matrix("X").commutes_with(pauli_matrix("XX"))
 
 
 def test_letter_product_table_against_matrices():
