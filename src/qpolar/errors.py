@@ -30,11 +30,12 @@ class CapacityError(QPolarError):
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.02 s for 2,295 subspaces; N=5 would take
-    # about 1.4 s for 75,735 (measured with this entry raised to 5)
+    # about 1.4 s for 75,735 (measured with this entry raised to 5).  Also the
+    # largest N with a shared point table in gf2: 340 vectors for N = 1..4
     "generator enumeration": 4,
-    "spread search": 3,  # enumerate_spreads(3, limit=1): about 3 ms
-    # about 0.7 ms for 6 spreads; all 960 at N=3 take about 0.24 s, of which
-    # the cover search is about 0.02 s and Spread validation most of the rest
+    "spread search": 3,  # enumerate_spreads(3, limit=1): about 2.5 ms
+    # about 0.5 ms for 6 spreads; all 960 at N=3 take about 0.11 s, of which
+    # the cover search is about 0.015 s and Spread validation about 0.09 s
     "full spread enumeration": 2,
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges

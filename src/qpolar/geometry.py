@@ -23,7 +23,8 @@ of the remaining rows.  Each child's live keys are the node's remaining
 ones ANDed with the new row's table entry, one big-int AND, and a child
 with none is not entered.  Every generator thus comes from its unique
 RREF exactly once, in a fixed order, with no dedup pass.  The basis rows
-are shared SymplecticVectors, one per point.
+come from gf2's point table, so every basis shares one SymplecticVector
+per point.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -55,6 +56,7 @@ from .gf2 import (
     Subspace,
     SymplecticVector,
     _perp_mask,
+    _point_table,
     _span_mask,
     is_totally_isotropic,
     rref,
@@ -102,9 +104,7 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
         detail = f" ({params(n).generator_count} subspaces by the product formula)"
     check_cap("generator enumeration", n, detail)
 
-    mask = (1 << n) - 1
-    # one validated vector per point, shared by every basis that uses it as a row
-    points = [SymplecticVector(n, key >> n, key & mask) for key in range(1, 1 << (2 * n))]
+    points = _point_table(n)  # key k at index k - 1
     # per key: the points perpendicular to it, less those led by a bit set in it
     follows = []
     for key in range(1 << (2 * n)):
@@ -180,16 +180,16 @@ class Spread:
         p = params(self.n)
         if len(self.blocks) != p.spread_size:
             raise DomainError(f"spread must have {p.spread_size} blocks, found {len(self.blocks)}")
-        seen: set[int] = set()
+        seen: set[SymplecticVector] = set()  # every block is over self.n, so equal vectors = equal keys
         for block in self.blocks:
             if block.n != self.n:
                 raise DomainError("block qubit count differs from spread")
             if block.rank != self.n or not is_totally_isotropic(block):
                 raise DomainError("spread block is not a generator")
-            keys = {pt.key for pt in span_points(block)}
-            if seen & keys:
+            points = span_points(block)
+            if not seen.isdisjoint(points):
                 raise DomainError("spread blocks overlap")
-            seen |= keys
+            seen |= points
         # 2^N + 1 disjoint blocks of 2^N - 1 points each cover all 4^N - 1 points
 
     def sort_key(self) -> tuple:

@@ -24,6 +24,12 @@ other pairs).  Tests exercise this equivalence directly.  Inside the
 package the form on packed keys is evaluated in ``_perp_mask`` alone, as
 a point's perpendicular set with key k as bit k - 1.
 
+Up to the generator enumeration cap of errors.CAPS (N <= 4) each point
+has one validated vector, kept in ``_point_table(n)`` and built on first
+use: ``all_points``, ``span_points``, the basis rows ``rref`` returns and
+``pauli.pauli_to_vector`` all hand out those shared objects.  Above the
+cap a 4^N-entry table would not pay, so vectors are built as needed.
+
 Subspaces are kept in reduced row echelon form with pivots taken left
 to right across (x | z), so equal subspaces always carry identical
 basis tuples.  ``_reduce``, the package's one GF(2) row reduction, also
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, DomainError, ZeroVectorError, check_cap
+from .errors import CAPS, DimensionMismatch, DomainError, ZeroVectorError, check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +92,37 @@ class SymplecticVector:
         return f"{self.x:0{self.n}b}|{self.z:0{self.n}b}"
 
 
+_POINT_TABLES: dict[int, tuple[SymplecticVector, ...]] = {}
+
+
+def _point_table(n: int) -> tuple[SymplecticVector, ...] | None:
+    """The 4^n - 1 points in key order, key k at index k - 1; None unless 1 <= n <= the cap.
+
+    The cap is the generator enumeration entry of errors.CAPS.  A table is
+    built on first use, each point once through the validated constructor.
+    """
+    if not 1 <= n <= CAPS["generator enumeration"]:
+        return None
+    table = _POINT_TABLES.get(n)
+    if table is None:
+        mask = (1 << n) - 1
+        table = tuple(SymplecticVector(n, key >> n, key & mask) for key in range(1, 1 << (2 * n)))
+        _POINT_TABLES[n] = table
+    return table
+
+
+def _vectors(keys: Iterable[int], n: int) -> Iterator[SymplecticVector]:
+    """The points of the nonzero ``keys``: the table's own where n has one, else new ones."""
+    table = _point_table(n)
+    if table is not None:
+        return (table[k - 1] for k in keys)
+    mask = (1 << n) - 1
+    return (SymplecticVector(n, k >> n, k & mask) for k in keys)
+
+
 def all_points(n_qubits: int) -> Iterator[SymplecticVector]:
     """Yield all 4^N - 1 nonzero vectors in ascending key order."""
-    n = n_qubits
-    for key in range(1, 1 << (2 * n)):
-        yield SymplecticVector(n, key >> n, key & ((1 << n) - 1))
+    yield from _vectors(range(1, 1 << (2 * n_qubits)), n_qubits)
 
 
 def _swap_halves(key: int, n: int) -> int:
@@ -193,9 +225,7 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     if n is None:
         raise DimensionMismatch("empty input needs an explicit n_qubits")
 
-    mask = (1 << n) - 1
-    basis = tuple(SymplecticVector(n, key >> n, key & mask) for key in _reduce(rows))
-    return Subspace(n, basis)
+    return Subspace(n, tuple(_vectors(_reduce(rows), n)))
 
 
 def _reduce(rows: Iterable[int]) -> list[int]:
@@ -229,8 +259,7 @@ def _span_mask(s: Subspace) -> int:
 
 def span_points(s: Subspace) -> set[SymplecticVector]:
     """All 2^rank - 1 nonzero vectors in the span of the basis."""
-    mask = (1 << s.n) - 1
-    return {SymplecticVector(s.n, k >> s.n, k & mask) for k in _span_keys(s)}
+    return set(_vectors(_span_keys(s), s.n))
 
 
 def is_totally_isotropic(s: Subspace) -> bool:

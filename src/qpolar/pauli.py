@@ -38,7 +38,7 @@ from itertools import product as _product
 
 from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, check_cap
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, _span_keys, sp_form
+from .gf2 import Subspace, SymplecticVector, _point_table, _span_keys, sp_form
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -71,7 +71,11 @@ def pauli_to_vector(word: str) -> SymplecticVector:
     x, z = int(word.translate(_X_BITS), 2), int(word.translate(_Z_BITS), 2)
     if x == 0 and z == 0:
         raise IdentityWordError("the identity word has no point in the space")
-    return SymplecticVector(len(word), x, z)
+    n = len(word)
+    table = _point_table(n)
+    if table is None:  # above the table's cap; the constructor checks the qubit count
+        return SymplecticVector(n, x, z)
+    return table[(x << n | z) - 1]
 
 
 def _double(table: list[str], q: int) -> list[str]:

@@ -248,17 +248,22 @@ def test_desarguesian_capacity():
 
 def test_spread_validation_rejects_bad_block_sets():
     good = desarguesian_spread(2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^spread must have 5 blocks, found 4$"):
         Spread(2, good.blocks[:-1])  # too few blocks
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^spread blocks overlap$"):
         Spread(2, good.blocks[:-1] + (good.blocks[0],))  # duplicate block
     not_gen = rref([SymplecticVector(2, 0b10, 0)])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^spread block is not a generator$"):
         Spread(2, good.blocks[:-1] + (not_gen,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^spread block is not a generator$"):
         Spread(2, good.blocks[:-1] + (rref([], 2),))  # rank 0: no smallest point to order by
-    with pytest.raises(DomainError, match="qubit count differs"):
+    with pytest.raises(DomainError, match="^block qubit count differs from spread$"):
         Spread(2, good.blocks[:-1] + (desarguesian_spread(3).blocks[0],))
+    # two distinct generators sharing one point, the second met right after the first
+    first = good.blocks[0]
+    other = next(g for g in enumerate_generators(2) if len(span_points(g) & span_points(first)) == 1)
+    with pytest.raises(DomainError, match="^spread blocks overlap$"):
+        Spread(2, (first, other) + good.blocks[2:])
 
 
 def test_enumerate_spreads_n1():
