@@ -22,9 +22,9 @@ from live, and repeats while some live key leaves room for the pivots
 of the remaining rows.  Each child's live keys are the node's remaining
 ones ANDed with the new row's table entry, one big-int AND, and a child
 with none is not entered.  Every generator thus comes from its unique
-RREF exactly once, in a fixed order, with no dedup pass.  The basis rows
-come from gf2's point table, so every basis shares one SymplecticVector
-per point.
+RREF exactly once, in a fixed order, with no dedup pass.  A leaf's rows
+are already that RREF, so it becomes a Subspace of their keys unchecked;
+tests rebuild every generator through the checking constructor.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -56,7 +56,6 @@ from .gf2 import (
     Subspace,
     SymplecticVector,
     _perp_mask,
-    _point_table,
     _span_mask,
     is_totally_isotropic,
     rref,
@@ -104,7 +103,6 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
         detail = f" ({params(n).generator_count} subspaces by the product formula)"
     check_cap("generator enumeration", n, detail)
 
-    points = _point_table(n)  # key k at index k - 1
     # per key: the points perpendicular to it, less those led by a bit set in it
     follows = []
     for key in range(1 << (2 * n)):
@@ -116,6 +114,7 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
         follows.append(_perp_mask(key, n) & ~barred)
     out: list[Subspace] = []
     rows: list[int] = []
+    new = Subspace._from_keys
 
     def extend(live: int, left: int) -> None:
         # live: the keys that may be the next row, all below the last row's
@@ -134,14 +133,14 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
                 cand = lead + low.bit_length() - 1
                 rows.append(cand)
                 if left == 1:
-                    out.append(Subspace(n, tuple([points[k - 1] for k in rows])))
+                    out.append(new(n, tuple(rows)))
                 else:
                     child = live & follows[cand]
                     if child:
                         extend(child, left - 1)
                 rows.pop()
 
-    extend((1 << len(points)) - 1, n)
+    extend((1 << (len(follows) - 1)) - 1, n)  # every point is live
     return out
 
 
@@ -173,7 +172,7 @@ class Spread:
 
     def __post_init__(self) -> None:
         self.validate()
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.basis[-1].key)))
+        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.keys[-1])))
 
     def validate(self) -> None:
         """Re-check every spread invariant; raises DomainError on violation."""
@@ -319,7 +318,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
 
     generators = enumerate_generators(n)
     covers = _exact_covers([_span_mask(g) for g in generators], (1 << (2 * n)) - 1, limit)
-    smallest = [g.basis[-1].key for g in generators]
+    smallest = [g.keys[-1] for g in generators]
     ordered = sorted(tuple(sorted(cover, key=smallest.__getitem__)) for cover in covers)
     return [Spread(n, tuple(generators[b] for b in cover)) for cover in ordered]
 

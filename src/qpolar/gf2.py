@@ -21,19 +21,22 @@ For order two this is the same as being joined by a totally isotropic
 line: the line through p and q is {p, q, p + q}, and it is totally
 isotropic iff sp_form(p, q) = 0 (bilinearity gives the form on all
 other pairs).  Tests exercise this equivalence directly.  Inside the
-package the form on packed keys is evaluated in ``_perp_mask`` alone, as
-a point's perpendicular set with key k as bit k - 1.
+package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
+taken per basis pair by ``is_totally_isotropic`` and for all keys at
+once by ``_perp_mask``, as a point's perpendicular set with key k as
+bit k - 1.
 
 Up to the generator enumeration cap of errors.CAPS (N <= 4) each point
 has one validated vector, kept in ``_point_table(n)`` and built on first
-use: ``all_points``, ``span_points``, the basis rows ``rref`` returns and
+use: ``all_points``, ``span_points``, the rows of ``Subspace.basis`` and
 ``pauli.pauli_to_vector`` all hand out those shared objects.  Above the
 cap a 4^N-entry table would not pay, so vectors are built as needed.
 
-Subspaces are kept in reduced row echelon form with pivots taken left
-to right across (x | z), so equal subspaces always carry identical
-basis tuples.  ``_reduce``, the package's one GF(2) row reduction, also
-gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
+A Subspace is its reduced row echelon basis with pivots taken left to
+right across (x | z), stored as the rows' packed keys by descending
+leading bit, so equal subspaces always carry identical key tuples.
+``_reduce``, the package's one GF(2) row reduction, also gives
+``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ def _vectors(keys: Iterable[int], n: int) -> Iterator[SymplecticVector]:
 
 
 def all_points(n_qubits: int) -> Iterator[SymplecticVector]:
-    """Yield all 4^N - 1 nonzero vectors in ascending key order."""
-    yield from _vectors(range(1, 1 << (2 * n_qubits)), n_qubits)
+    """All 4^N - 1 nonzero vectors in ascending key order."""
+    check_cap("qubit count", n_qubits, error=DimensionMismatch)
+    return _vectors(range(1, 1 << (2 * n_qubits)), n_qubits)
 
 
 def _swap_halves(key: int, n: int) -> int:
@@ -155,25 +159,27 @@ def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
     return ((u.x & v.z).bit_count() + (u.z & v.x).bit_count()) & 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Subspace:
     """A GF(2) subspace given by its (unique) reduced row echelon basis.
 
+    The basis is stored as ``keys``, the rows' packed keys by descending
+    leading bit (ascending pivot); ``basis`` is a view of them as points.
     Canonical form means value equality coincides with subspace
-    equality.  Construct through :func:`rref` unless the basis is
-    already known to be reduced.
+    equality.  ``Subspace(n, basis)`` checks that the basis is reduced;
+    construct through :func:`rref` unless it is already known to be.
     """
 
     n: int
-    basis: tuple[SymplecticVector, ...]
+    keys: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, basis: Iterable[SymplecticVector]) -> None:
         check_cap("qubit count", n, error=DimensionMismatch)
         # one pass; the order and reduction verdicts wait until every row is checked
+        keys = []
         ordered = reduced = True
         prev, above = 1 << 2 * n, 0  # the last row's leading bit; every earlier row ORed together
-        for row in self.basis:
+        for row in basis:
             if row.n != n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
             key = row.x << n | row.z
@@ -186,26 +192,42 @@ class Subspace:
                 reduced = False
             prev = lead
             above |= key
+            keys.append(key)
         if not ordered:
             raise DomainError("basis pivots must strictly increase")
         if not reduced:
             raise DomainError("basis is not fully reduced")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "keys", tuple(keys))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: tuple[int, ...]) -> "Subspace":
+        """The subspace of keys already in reduced form, by descending leading bit; unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "keys", keys)
+        return s
+
+    @property
+    def basis(self) -> tuple[SymplecticVector, ...]:
+        return tuple(_vectors(self.keys, self.n))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.keys)
 
     def contains(self, v: SymplecticVector) -> bool:
         if v.n != self.n:
             raise DimensionMismatch("vector and subspace qubit counts differ")
         key = v.key
-        for row in self.basis:  # as in rref: xor exactly when key holds the row's pivot
-            key = min(key, key ^ row.key)
+        for row in self.keys:  # as in rref: xor exactly when key holds the row's pivot
+            key = min(key, key ^ row)
         return key == 0
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         """Canonical comparison key: rows ordered pivot-major, then by packed value."""
-        return tuple((row.pivot, row.key) for row in self.basis)  # type: ignore[misc]
+        width = 2 * self.n
+        return tuple((width - key.bit_length(), key) for key in self.keys)
 
 
 def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Subspace:
@@ -224,8 +246,9 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
         rows.append(v.key)
     if n is None:
         raise DimensionMismatch("empty input needs an explicit n_qubits")
+    check_cap("qubit count", n, error=DimensionMismatch)
 
-    return Subspace(n, tuple(_vectors(_reduce(rows), n)))
+    return Subspace._from_keys(n, tuple(_reduce(rows)))
 
 
 def _reduce(rows: Iterable[int]) -> list[int]:
@@ -246,9 +269,8 @@ def _reduce(rows: Iterable[int]) -> list[int]:
 def _span_keys(s: Subspace) -> list[int]:
     """Packed keys of the 2^rank - 1 nonzero span vectors (distinct, as rows are independent)."""
     keys = [0]
-    for row in s.basis:
-        rk = row.key
-        keys += [k ^ rk for k in keys]
+    for row in s.keys:
+        keys += [k ^ row for k in keys]
     return keys[1:]
 
 
@@ -266,11 +288,14 @@ def is_totally_isotropic(s: Subspace) -> bool:
     """True iff the form vanishes on the whole subspace.
 
     Bilinearity means checking all basis pairs suffices (and the form is
-    alternating, so diagonal pairs are free).
+    alternating, so diagonal pairs are free).  The form on two keys is
+    the parity of one AND with the other's halves swapped.
     """
-    for i, u in enumerate(s.basis):
-        for v in s.basis[i + 1:]:
-            if sp_form(u, v):
+    n, keys = s.n, s.keys
+    for i in range(1, len(keys)):  # each row against every row above it
+        swapped = _swap_halves(keys[i], n)
+        for u in keys[:i]:
+            if (swapped & u).bit_count() & 1:
                 return False
     return True
 

@@ -60,8 +60,8 @@ def validate_word(word: str) -> str:
 
 def all_words(n_qubits: int):
     """All 4^N words including the identity, in letter order."""
-    for letters in _product(LETTERS, repeat=n_qubits):
-        yield "".join(letters)
+    check_cap("qubit count", n_qubits, error=DimensionMismatch)
+    return ("".join(letters) for letters in _product(LETTERS, repeat=n_qubits))
 
 
 def pauli_to_vector(word: str) -> SymplecticVector:

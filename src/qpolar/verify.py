@@ -66,11 +66,10 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
 
     sizes = set()
     for g in gens:
-        keys = [row.key for row in g.basis]
         commutant = -1  # the points perpendicular to every row: g itself when g is maximal isotropic
-        for key in keys:
+        for key in g.keys:
             commutant &= perps[key - 1]
-        sizes.add(commutant.bit_count() if all(commutant >> (key - 1) & 1 for key in keys) else -1)
+        sizes.add(commutant.bit_count() if all(commutant >> (key - 1) & 1 for key in g.keys) else -1)
     size_actual = sizes.pop() if len(sizes) == 1 else -1
     checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
 

@@ -260,7 +260,8 @@ def test_python_dash_m_runs_the_cli():
 
     def qpolar_m(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "qpolar", *argv], capture_output=True, text=True, env=env, timeout=60
+            # -S loads no site-packages, so a third-party import in the package fails here
+            [sys.executable, "-S", "-m", "qpolar", *argv], capture_output=True, text=True, env=env, timeout=60
         )
 
     done = qpolar_m("commute", "XX", "ZZ", "--oracle")

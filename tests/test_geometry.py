@@ -112,6 +112,9 @@ def test_generators_are_valid_and_distinct():
         assert len({g.sort_key() for g in gens}) == len(gens)
         assert [g.sort_key() for g in gens] == sorted(g.sort_key() for g in gens)
         for g in gens:
+            # the DFS builds each leaf unchecked; the checking constructor must agree
+            rebuilt = Subspace(n, g.basis)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
             assert g.rank == n
             assert is_totally_isotropic(g)
             keys = [p.key for p in span_points(g)]
@@ -201,6 +204,9 @@ def _check_partition_directly(spread, n):
 def test_desarguesian_spread(n):
     s = desarguesian_spread(n)
     assert len(s.blocks) == params(n).spread_size
+    for block in s.blocks:  # rref builds each block unchecked; the checking constructor must agree
+        rebuilt = Subspace(n, block.basis)
+        assert rebuilt == block and hash(rebuilt) == hash(block)
     _check_partition_directly(s, n)
 
 

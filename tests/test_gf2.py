@@ -22,7 +22,7 @@ from qpolar import (
 )
 from qpolar import gf2
 from qpolar.gf2 import _perp_mask, _point_table, _swap_halves
-from qpolar.pauli import pauli_to_vector, vector_to_pauli
+from qpolar.pauli import all_words, pauli_to_vector, vector_to_pauli
 
 SEED = 20260826
 
@@ -195,6 +195,17 @@ def test_rref_goldens():
         rref([x, SymplecticVector(2, 1, 0)])
 
 
+@pytest.mark.parametrize("n", [0, -1, 13])
+def test_bad_qubit_counts_raise_dimension_mismatch(n):
+    # raised on the call itself, before any point or word is asked for
+    with pytest.raises(DimensionMismatch):
+        rref([], n_qubits=n)
+    with pytest.raises(DimensionMismatch):
+        all_points(n)
+    with pytest.raises(DimensionMismatch):
+        all_words(n)
+
+
 def test_rref_idempotent_and_shuffle_invariant():
     rng = random.Random(SEED)
     for n in (1, 2, 3, 4):
@@ -323,6 +334,13 @@ def test_is_totally_isotropic():
     x = SymplecticVector(1, 1, 0)
     z = SymplecticVector(1, 0, 1)
     assert not is_totally_isotropic(rref([x, z]))
+    # every pair and triple of points at N=2 and every pair at N=3, against the form on the points
+    for n, sizes in ((2, (2, 3)), (3, (2,))):
+        points = list(all_points(n))
+        for size in sizes:
+            for chosen in itertools.combinations(points, size):
+                expected = all(sp_form(p, q) == 0 for p, q in itertools.combinations(chosen, 2))
+                assert is_totally_isotropic(rref(chosen)) == expected, chosen
 
 
 @pytest.mark.parametrize("n,census", [
