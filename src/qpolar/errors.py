@@ -24,18 +24,17 @@ class CapacityError(QPolarError):
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
 # shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
 # count cap; verify takes the generator enumeration cap, as it enumerates
-# generators (verify 4: about 0.02 s, about 0.35 s with --oracle); constructed spreads
+# generators (verify 4: about 0.02 s, about 0.2 s with --oracle); constructed spreads
 # take max(gf2n.MODULI), the largest degree with a pinned field modulus
 # (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.01 s for 2,295 subspaces; N=5 would take
-    # about 0.8 s for 75,735 (measured with this entry raised to 5).  Also the
-    # largest N with a shared point table in gf2: 340 vectors for N = 1..4
+    # about 0.8 s for 75,735 (measured with this entry raised to 5)
     "generator enumeration": 4,
     "spread search": 3,  # enumerate_spreads(3, limit=1): about 1.5 ms
-    # about 0.4 ms for 6 spreads; all 960 at N=3 take about 0.1 s, of which
-    # the cover search is about 0.012 s and Spread validation about 0.07 s
+    # about 0.2 ms for 6 spreads; all 960 at N=3 take about 0.02 s, nearly all
+    # of it the cover search, as search results are built without re-validation
     "full spread enumeration": 2,
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges

@@ -161,7 +161,7 @@ def is_maximal_isotropic(s: Subspace) -> bool:
 class Spread:
     """2^N + 1 generators partitioning all 4^N - 1 points.
 
-    All partition invariants are checked on construction, so an invalid
+    ``Spread(n, blocks)`` checks every partition invariant, so an invalid
     block set does not construct; the blocks are then put in canonical
     order, by each block's smallest point.  That point is the last RREF
     row: a combination with any other row leads at a higher bit.
@@ -173,6 +173,14 @@ class Spread:
     def __post_init__(self) -> None:
         self.validate()
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.keys[-1])))
+
+    @classmethod
+    def _from_blocks(cls, n: int, blocks: tuple[Subspace, ...]) -> "Spread":
+        """The spread of blocks already known to partition the points, in canonical order; unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "blocks", blocks)
+        return s
 
     def validate(self) -> None:
         """Re-check every spread invariant; raises DomainError on violation."""
@@ -307,7 +315,10 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
 
     Results are returned sorted by canonical form.  Generator indices
     follow Subspace.sort_key, so that is the order of the index tuples
-    once each lists its blocks by smallest point, as Spread does.
+    once each lists its blocks by smallest point, as Spread does.  An
+    exact cover of the points by generators is a spread by definition,
+    so results are built unchecked; tests rebuild every one through the
+    checking Spread constructor.
     """
     n = n_qubits
     check_cap("spread search", n)
@@ -320,7 +331,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     covers = _exact_covers([_span_mask(g) for g in generators], (1 << (2 * n)) - 1, limit)
     smallest = [g.keys[-1] for g in generators]
     ordered = sorted(tuple(sorted(cover, key=smallest.__getitem__)) for cover in covers)
-    return [Spread(n, tuple(generators[b] for b in cover)) for cover in ordered]
+    return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in ordered]
 
 
 @dataclass(frozen=True)

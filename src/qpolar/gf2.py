@@ -22,15 +22,10 @@ line: the line through p and q is {p, q, p + q}, and it is totally
 isotropic iff sp_form(p, q) = 0 (bilinearity gives the form on all
 other pairs).  Tests exercise this equivalence directly.  Inside the
 package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
-taken per basis pair by ``is_totally_isotropic`` and for all keys at
-once by ``_perp_mask``, as a point's perpendicular set with key k as
-bit k - 1.
-
-Up to the generator enumeration cap of errors.CAPS (N <= 4) each point
-has one validated vector, kept in ``_point_table(n)`` and built on first
-use: ``all_points``, ``span_points``, the rows of ``Subspace.basis`` and
-``pauli.pauli_to_vector`` all hand out those shared objects.  Above the
-cap a 4^N-entry table would not pay, so vectors are built as needed.
+taken per basis pair by ``is_totally_isotropic``, per word pair by
+``pauli.commutes``, and for all keys at once by ``_perp_mask``, as a
+point's perpendicular set with key k as bit k - 1.  Points become
+``SymplecticVector``s only at the public edge, built when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
 right across (x | z), stored as the rows' packed keys by descending
@@ -44,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CAPS, DimensionMismatch, DomainError, ZeroVectorError, check_cap
+from .errors import DimensionMismatch, DomainError, ZeroVectorError, check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,30 +90,8 @@ class SymplecticVector:
         return f"{self.x:0{self.n}b}|{self.z:0{self.n}b}"
 
 
-_POINT_TABLES: dict[int, tuple[SymplecticVector, ...]] = {}
-
-
-def _point_table(n: int) -> tuple[SymplecticVector, ...] | None:
-    """The 4^n - 1 points in key order, key k at index k - 1; None unless 1 <= n <= the cap.
-
-    The cap is the generator enumeration entry of errors.CAPS.  A table is
-    built on first use, each point once through the validated constructor.
-    """
-    if not 1 <= n <= CAPS["generator enumeration"]:
-        return None
-    table = _POINT_TABLES.get(n)
-    if table is None:
-        mask = (1 << n) - 1
-        table = tuple(SymplecticVector(n, key >> n, key & mask) for key in range(1, 1 << (2 * n)))
-        _POINT_TABLES[n] = table
-    return table
-
-
 def _vectors(keys: Iterable[int], n: int) -> Iterator[SymplecticVector]:
-    """The points of the nonzero ``keys``: the table's own where n has one, else new ones."""
-    table = _point_table(n)
-    if table is not None:
-        return (table[k - 1] for k in keys)
+    """The points of the nonzero ``keys``, each built through the validated constructor."""
     mask = (1 << n) - 1
     return (SymplecticVector(n, k >> n, k & mask) for k in keys)
 

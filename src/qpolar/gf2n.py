@@ -34,14 +34,18 @@ MODULI = {
 }
 
 
+def _check_degree(n: int) -> None:
+    if n not in MODULI:
+        raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     n: int
     bits: int
 
     def __post_init__(self) -> None:
-        if self.n not in MODULI:
-            raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {self.n}")
+        _check_degree(self.n)
         if not 0 <= self.bits < (1 << self.n):
             raise DomainError(f"coefficients must fit in {self.n} bits")
 
@@ -60,9 +64,9 @@ def one(n: int) -> FieldElement:
 
 
 def elements(n: int) -> Iterator[FieldElement]:
-    """All 2^n field elements, in coefficient order."""
-    for bits in range(1 << n):
-        yield FieldElement(n, bits)
+    """All 2^n field elements, in coefficient order; the degree is checked on the call."""
+    _check_degree(n)
+    return (FieldElement(n, bits) for bits in range(1 << n))
 
 
 def fmul(a: FieldElement, b: FieldElement) -> FieldElement:
@@ -98,8 +102,7 @@ def trace(a: FieldElement) -> int:
 
 def polynomial_basis(n: int) -> list[FieldElement]:
     """The default primal basis {1, x, ..., x^(n-1)}."""
-    if n not in MODULI:
-        raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
+    _check_degree(n)
     return [FieldElement(n, 1 << i) for i in range(n)]
 
 

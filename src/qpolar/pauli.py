@@ -15,9 +15,10 @@ the X-then-Z composition up to the phase -i, which the quotient
 absorbs.)  Any symplectic change of basis would give an equally valid
 dictionary; this letterwise one is the package-wide convention.
 A word is parsed by two str.translate passes that spell its x bits and
-its z bits as binary digits for int(); words are rendered from packed
-keys four qubits per lookup.  Every such table derives from the letter
-encoding.
+its z bits as binary digits, read by one int() as the packed key
+(x << N) | z; commutes compares two such keys with no vector built.
+Words are rendered from packed keys four qubits per lookup.  Every
+such table derives from the letter encoding.
 
 The independent route that grounds the dictionary is ExactMatrix:
 literal Kronecker products of the four single-qubit matrices over the
@@ -38,7 +39,7 @@ from itertools import product as _product
 
 from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, check_cap
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, _point_table, _span_keys, sp_form
+from .gf2 import Subspace, SymplecticVector, _span_keys, _swap_halves
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -64,18 +65,22 @@ def all_words(n_qubits: int):
     return ("".join(letters) for letters in _product(LETTERS, repeat=n_qubits))
 
 
-def pauli_to_vector(word: str) -> SymplecticVector:
-    """Letterwise encoding of a non-identity word into its point."""
+def _word_key(word: str) -> tuple[int, int]:
+    """(N, packed key) of a non-identity word; checks its letters, then identity, then N."""
     if not word or word.strip(LETTERS):  # a non-letter is left: name it
         validate_word(word)
-    x, z = int(word.translate(_X_BITS), 2), int(word.translate(_Z_BITS), 2)
-    if x == 0 and z == 0:
+    key = int(word.translate(_X_BITS) + word.translate(_Z_BITS), 2)
+    if not key:
         raise IdentityWordError("the identity word has no point in the space")
     n = len(word)
-    table = _point_table(n)
-    if table is None:  # above the table's cap; the constructor checks the qubit count
-        return SymplecticVector(n, x, z)
-    return table[(x << n | z) - 1]
+    check_cap("qubit count", n, error=DimensionMismatch)
+    return n, key
+
+
+def pauli_to_vector(word: str) -> SymplecticVector:
+    """Letterwise encoding of a non-identity word into its point."""
+    n, key = _word_key(word)
+    return SymplecticVector(n, key >> n, key & ((1 << n) - 1))
 
 
 def _double(table: list[str], q: int) -> list[str]:
@@ -112,10 +117,10 @@ def vector_to_pauli(v: SymplecticVector) -> str:
 
 def commutes(p: str, q: str) -> bool:
     """Symplectic commutation test: the form vanishes on the two points."""
-    u, v = pauli_to_vector(p), pauli_to_vector(q)
-    if u.n != v.n:
-        raise DimensionMismatch(f"words of length {u.n} and {v.n} cannot be compared")
-    return sp_form(u, v) == 0
+    (n, u), (m, v) = _word_key(p), _word_key(q)
+    if n != m:
+        raise DimensionMismatch(f"words of length {n} and {m} cannot be compared")
+    return not (u & _swap_halves(v, n)).bit_count() & 1
 
 
 # i**k for k = 0..3 as (re, im) pairs: the four units of the Gaussian integers
@@ -239,16 +244,21 @@ def commutes_matrix(p: str, q: str) -> bool:
 def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     """Compare both commutation routes over all ordered pairs of non-identity words.
 
+    Each word is parsed once to its key and built once as a matrix; per
+    pair the form is the parity of one AND, and the matrix side is
+    ExactMatrix.commutes_with, which never reads x/z bits.
     Returns (pairs_checked, mismatches).
     """
-    check_cap("matrix oracle", n_qubits)  # before all 4^N words are listed
-    words = [w for w in all_words(n_qubits) if set(w) != {"I"}]
+    n = n_qubits
+    check_cap("matrix oracle", n)  # before all 4^N words are listed
+    routes = [(_word_key(w)[1], pauli_matrix(w)) for w in all_words(n) if set(w) != {"I"}]
     pairs = 0
     mismatches = 0
-    for p in words:
-        for q in words:
+    for u, a in routes:
+        swapped = _swap_halves(u, n)
+        for v, b in routes:
             pairs += 1
-            if commutes(p, q) != commutes_matrix(p, q):
+            if (not (v & swapped).bit_count() & 1) != a.commutes_with(b):
                 mismatches += 1
     return pairs, mismatches
 

@@ -327,6 +327,8 @@ OUTPUT_GOLDENS = [
     ("graph 3 --format json", 0, "9987db012376504d9d31dfc1c8123a21eeda20b84903ee3d79582135cf2f72e5"),
     ("verify 3 --oracle", 0, "9413fed67b25c17e94876aba0498597e86c2cea4eb9b0f95eb8ea0279304da1c"),
     ("verify 3 --oracle --format json", 0, "4787f7d7ba8eeb340c594193db32bf4080e73dbffb0a94de62bf17a0a5fa96d4"),
+    ("verify 4 --oracle", 0, "c385a6ff824d057da7dc62b6fa13fda3c41699748110fdde5beda6956f6e44cd"),
+    ("verify 4 --oracle --format json", 0, "d296668d11fbbc4391fec57a852f9c669283be5d9779262f116acd3097ac5d08"),
     ("commute XYZ ZYX --oracle", 0, "f4b7e66fde887c29973697c2abd3e62f8e91f8b98f28e86e54f5a2d1b328b682"),
 ]
 

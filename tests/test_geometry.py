@@ -287,6 +287,7 @@ def test_enumerate_spreads_n2_full():
     assert desarguesian_spread(2).sort_key() in keys
     for s in spreads:
         _check_partition_directly(s, 2)
+        assert Spread(s.n, s.blocks) == s  # built unchecked; the checking constructor agrees
 
 
 def test_enumerate_spreads_deterministic():
@@ -361,6 +362,7 @@ def test_enumerate_spreads_n4_sorted_past_cap(monkeypatch):
     monkeypatch.setitem(CAPS, "spread search", 4)
     spreads = enumerate_spreads(4, limit=5)
     assert spreads == _reference_spread_search(4, limit=5)
+    assert all(Spread(s.n, s.blocks) == s for s in spreads)
     keys = [s.sort_key() for s in spreads]
     assert len(set(keys)) == 5 and keys == sorted(keys)
 
@@ -371,6 +373,7 @@ def test_enumerate_spreads_n3_all():
     assert len(keys) == len(set(keys)) == 960
     assert keys == sorted(keys)
     assert desarguesian_spread(3).sort_key() in keys
+    assert all(Spread(s.n, s.blocks) == s for s in spreads)
 
 
 def test_spread_blocks_closed_under_addition():

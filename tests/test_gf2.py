@@ -21,7 +21,7 @@ from qpolar import (
     sp_form,
 )
 from qpolar import gf2
-from qpolar.gf2 import _perp_mask, _point_table, _swap_halves
+from qpolar.gf2 import _perp_mask, _swap_halves
 from qpolar.pauli import all_words, pauli_to_vector, vector_to_pauli
 
 SEED = 20260826
@@ -87,7 +87,7 @@ def test_all_points_count_and_order(n, count):
 
 
 def spans_by_xor(basis):
-    """The nonzero span vectors, built by SymplecticVector.__xor__ without the point table."""
+    """The nonzero span vectors, built by SymplecticVector.__xor__ rather than from keys."""
     span = set()
     for row in basis:
         span |= {row} | {row ^ v for v in span}
@@ -98,37 +98,19 @@ def built_points(n, keys):
     return [SymplecticVector(n, k >> n, k & ((1 << n) - 1)) for k in keys]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_point_table_serves_its_own_points(n):
-    table = _point_table(n)
-    assert table is _point_table(n)
-    assert list(table) == list(all_points(n)) == built_points(n, range(1, 1 << (2 * n)))
-    assert all(p is q for p, q in zip(all_points(n), table))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12])
+def test_points_served_from_keys_equal_built_points(n):
+    count = min(1 << (2 * n), 1024) - 1  # every point up to N=5, the first 1,023 at N=12
+    assert list(itertools.islice(all_points(n), count)) == built_points(n, range(1, count + 1))
     rng = random.Random(SEED)
     for _ in range(30):
-        s = rref([rand_vector(rng, n) for _ in range(rng.randrange(1, n + 2))], n_qubits=n)
-        assert all(row is table[row.key - 1] for row in s.basis)
-        points = span_points(s)
-        assert points == spans_by_xor(s.basis)
-        assert all(p is table[p.key - 1] for p in points)
-    for p in built_points(n, rng.sample(range(1, 1 << (2 * n)), min(40, len(table)))):
-        assert pauli_to_vector(vector_to_pauli(p)) is table[p.key - 1]
-        assert table[p.key - 1] == p
-
-
-@pytest.mark.parametrize("n", [5, 12])
-def test_no_point_table_above_the_generator_cap(n, monkeypatch):
-    monkeypatch.setattr(gf2, "_POINT_TABLES", {})
-    assert _point_table(n) is None
-    rng = random.Random(SEED)
-    keys = [rng.randrange(1, 1 << (2 * n)) for _ in range(6)]  # a span of at most 63 points
-    assert list(itertools.islice(all_points(n), 40)) == built_points(n, range(1, 41))
-    s = rref(built_points(n, keys))
-    assert s.basis == tuple(built_points(n, gf2._reduce(keys)))
-    assert span_points(s) == spans_by_xor(s.basis)
-    for p in built_points(n, keys):
+        # at most 7 rows, so a span of at most 127 points
+        keys = [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, min(n, 6) + 2))]
+        s = rref(built_points(n, keys), n_qubits=n)
+        assert s.basis == tuple(built_points(n, gf2._reduce(keys)))
+        assert span_points(s) == spans_by_xor(s.basis)
+    for p in built_points(n, rng.sample(range(1, 1 << (2 * n)), min(40, count))):
         assert pauli_to_vector(vector_to_pauli(p)) == p
-    assert gf2._POINT_TABLES == {}
 
 
 def test_sp_form_goldens():

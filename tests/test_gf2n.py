@@ -49,6 +49,12 @@ def test_elements_count():
         assert len(list(elements(n))) == 1 << n
 
 
+@pytest.mark.parametrize("n", [0, -1, 6])
+def test_elements_checks_the_degree_on_the_call(n):
+    with pytest.raises(DimensionMismatch, match=rf"^supported extension degrees are \[1, 2, 3, 4, 5\], got {n}$"):
+        elements(n)
+
+
 def test_fmul_goldens():
     # GF(4): x*x = x + 1 and x*(x+1) = x^2 + x = 1
     x4 = FieldElement(2, 0b10)

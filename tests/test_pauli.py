@@ -423,6 +423,14 @@ def test_commutation_sweep_cap():
         commutation_sweep(7)
 
 
+def test_commutation_sweep_counts_a_wrong_matrix(monkeypatch):
+    # X gets Z's matrix, so X and Z "commute" on the matrix side, in both orders;
+    # X against X or Y keeps its verdict, so exactly 2 of the 9 pairs mismatch
+    real = pauli_matrix
+    monkeypatch.setattr("qpolar.pauli.pauli_matrix", lambda w: real("Z" if w == "X" else w))
+    assert commutation_sweep(1) == (9, 2)
+
+
 def test_mcs_of_generator():
     z_gen = rref([SymplecticVector(1, 0, 1)])
     assert mcs_of_generator(z_gen) == ["Z"]
