@@ -22,11 +22,12 @@ class CapacityError(QPolarError):
 
 
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
-# shared 2-vCPU VM).  Derived caps are not stored: params() takes the qubit
-# count cap; verify takes the generator enumeration cap, as it enumerates
-# generators (verify 4: about 0.02 s, about 0.2 s with --oracle); constructed spreads
-# take max(gf2n.MODULI), the largest degree with a pinned field modulus
-# (desarguesian_spread(5): about 0.003 s).
+# shared 2-vCPU VM).  The name decides the error: the qubit count cap raises
+# DimensionMismatch, every other cap CapacityError.  Derived caps are not
+# stored: params() takes the qubit count cap; verify takes the generator
+# enumeration cap, as it enumerates generators (verify 4: about 0.02 s, about
+# 0.2 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
+# degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.01 s for 2,295 subspaces; N=5 would take
@@ -41,12 +42,13 @@ CAPS = {
 }
 
 
-def check_cap(what: str, n: int, detail: str = "", error: type[QPolarError] = CapacityError) -> None:
-    """Raise DimensionMismatch unless n >= 1, and ``error`` if n exceeds ``CAPS[what]``."""
+def check_cap(what: str, n: int, detail: str = "") -> None:
+    """Raise DimensionMismatch unless n >= 1; above ``CAPS[what]``, the error the cap's name decides."""
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")
     cap = CAPS[what]
     if n > cap:
+        error = DimensionMismatch if what == "qubit count" else CapacityError
         raise error(f"{what} is capped at N<={cap}; N={n} was requested{detail}")
 
 

@@ -48,7 +48,7 @@ reports them without claiming an independent recount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import gf2n
 from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, check_cap
@@ -76,7 +76,7 @@ class PolarSpaceParams:
 
 
 def params(n_qubits: int) -> PolarSpaceParams:
-    check_cap("qubit count", n_qubits, error=DimensionMismatch)
+    check_cap("qubit count", n_qubits)
     n = n_qubits
     gen_count = 1
     for i in range(1, n + 1):
@@ -349,15 +349,7 @@ class GQReport:
 
     @property
     def passed(self) -> bool:
-        actual = (
-            self.point_count,
-            self.line_count,
-            self.points_per_line,
-            self.lines_per_point,
-            self.collinear_partners,
-            self.axiom_violations,
-        )
-        return actual == self.EXPECTED
+        return astuple(self) == self.EXPECTED
 
 
 def gq22_structure_check() -> GQReport:

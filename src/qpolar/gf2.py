@@ -30,7 +30,8 @@ point's perpendicular set with key k as bit k - 1.  Points become
 A Subspace is its reduced row echelon basis with pivots taken left to
 right across (x | z), stored as the rows' packed keys by descending
 leading bit, so equal subspaces always carry identical key tuples.
-``_reduce``, the package's one GF(2) row reduction, also gives
+``_reduce``, the package's one GF(2) row reduction, builds that basis in
+``rref``, decides the checked ``Subspace`` constructor, and gives
 ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
 """
 
@@ -51,7 +52,7 @@ class SymplecticVector:
     z: int
 
     def __post_init__(self) -> None:
-        check_cap("qubit count", self.n, error=DimensionMismatch)
+        check_cap("qubit count", self.n)
         if not 0 <= self.x < (1 << self.n) or not 0 <= self.z < (1 << self.n):
             raise DomainError(f"x/z parts must be {self.n}-bit values")
 
@@ -98,7 +99,7 @@ def _vectors(keys: Iterable[int], n: int) -> Iterator[SymplecticVector]:
 
 def all_points(n_qubits: int) -> Iterator[SymplecticVector]:
     """All 4^N - 1 nonzero vectors in ascending key order."""
-    check_cap("qubit count", n_qubits, error=DimensionMismatch)
+    check_cap("qubit count", n_qubits)
     return _vectors(range(1, 1 << (2 * n_qubits)), n_qubits)
 
 
@@ -139,36 +140,27 @@ class Subspace:
     The basis is stored as ``keys``, the rows' packed keys by descending
     leading bit (ascending pivot); ``basis`` is a view of them as points.
     Canonical form means value equality coincides with subspace
-    equality.  ``Subspace(n, basis)`` checks that the basis is reduced;
-    construct through :func:`rref` unless it is already known to be.
+    equality.  ``Subspace(n, basis)`` checks that ``_reduce`` leaves the
+    basis unchanged; build from any other basis through :func:`rref`.
     """
 
     n: int
     keys: tuple[int, ...]
 
     def __init__(self, n: int, basis: Iterable[SymplecticVector]) -> None:
-        check_cap("qubit count", n, error=DimensionMismatch)
-        # one pass; the order and reduction verdicts wait until every row is checked
+        check_cap("qubit count", n)
         keys = []
-        ordered = reduced = True
-        prev, above = 1 << 2 * n, 0  # the last row's leading bit; every earlier row ORed together
         for row in basis:
             if row.n != n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
             key = row.x << n | row.z
             if not key:
                 raise DomainError("zero row in basis")
-            lead = 1 << (key.bit_length() - 1)  # pivots increase as these fall
-            if lead >= prev:
-                ordered = False
-            elif lead & above:  # once ordered, only an earlier row can hold this pivot
-                reduced = False
-            prev = lead
-            above |= key
             keys.append(key)
-        if not ordered:
+        lengths = [key.bit_length() for key in keys]  # pivots increase as these fall
+        if any(a <= b for a, b in zip(lengths, lengths[1:])):
             raise DomainError("basis pivots must strictly increase")
-        if not reduced:
+        if _reduce(keys) != keys:  # rows with distinct pivots are independent: only reduction differs
             raise DomainError("basis is not fully reduced")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "keys", tuple(keys))
@@ -219,7 +211,7 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
         rows.append(v.key)
     if n is None:
         raise DimensionMismatch("empty input needs an explicit n_qubits")
-    check_cap("qubit count", n, error=DimensionMismatch)
+    check_cap("qubit count", n)
 
     return Subspace._from_keys(n, tuple(_reduce(rows)))
 

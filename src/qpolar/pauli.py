@@ -34,6 +34,7 @@ bits, so the oracle is independent of the form.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _product
 
@@ -61,7 +62,7 @@ def validate_word(word: str) -> str:
 
 def all_words(n_qubits: int):
     """All 4^N words including the identity, in letter order."""
-    check_cap("qubit count", n_qubits, error=DimensionMismatch)
+    check_cap("qubit count", n_qubits)
     return ("".join(letters) for letters in _product(LETTERS, repeat=n_qubits))
 
 
@@ -73,7 +74,7 @@ def _word_key(word: str) -> tuple[int, int]:
     if not key:
         raise IdentityWordError("the identity word has no point in the space")
     n = len(word)
-    check_cap("qubit count", n, error=DimensionMismatch)
+    check_cap("qubit count", n)
     return n, key
 
 
@@ -127,6 +128,7 @@ def commutes(p: str, q: str) -> bool:
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ExactMatrix:
     """A square monomial matrix over the Gaussian integers with unit entries.
 
@@ -134,7 +136,8 @@ class ExactMatrix:
     ``re`` and ``im`` are dense views of the real and imaginary parts.
     """
 
-    __slots__ = ("cols", "phases")
+    cols: tuple[int, ...]
+    phases: tuple[int, ...]
 
     def __init__(self, re, im):
         re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
@@ -155,9 +158,6 @@ class ExactMatrix:
         object.__setattr__(m, "phases", phases)
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.cols)
@@ -172,14 +172,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> tuple[int, int]:
         return _UNITS[self.phases[i]] if self.cols[i] == j else (0, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.phases == other.phases
-
-    def __hash__(self):
-        return hash((self.cols, self.phases))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:

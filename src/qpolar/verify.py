@@ -8,7 +8,7 @@ actual.  The ``verify`` subcommand prints the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .geometry import desarguesian_spread, enumerate_generators, params
@@ -29,12 +29,7 @@ class Check:
         return self.expected == self.actual
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.ok,
-        }
+        return {**asdict(self), "pass": self.ok}
 
 
 @dataclass(frozen=True)

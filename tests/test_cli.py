@@ -67,12 +67,33 @@ def test_report_overall_is_conjunction():
     assert report.overall
 
 
-def test_eq4_fails_on_a_generator_that_is_not_isotropic(monkeypatch):
+@pytest.fixture
+def non_isotropic_generator(monkeypatch):
+    """verify's N=2 generators, the first replaced by a rank-2 subspace that is not isotropic."""
     gens = qpolar.enumerate_generators(2)
     x1_z1 = rref([pauli_to_vector("XI"), pauli_to_vector("ZI")])  # rank 2, but X1 and Z1 anticommute
     monkeypatch.setattr("qpolar.verify.enumerate_generators", lambda n: [x1_z1, *gens[1:]])
+
+
+def test_eq4_fails_on_a_generator_that_is_not_isotropic(non_isotropic_generator):
     failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
     assert failed == {"eq4_generator_size": -1}
+
+
+def test_verify_reports_a_failing_check_end_to_end(capsys, non_isotropic_generator):
+    code, out, _ = run(capsys, "verify", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  eq4_generator_size     expected        3  actual       -1  FAIL",
+        "overall: FAIL",
+    ]
+    code, out, _ = run(capsys, "verify", "2", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["data"]
+    assert [c for c in checks if not c["pass"]] == [
+        {"name": "eq4_generator_size", "expected": 3, "actual": -1, "pass": False}
+    ]
+    assert [c["pass"] for c in checks] == [True, True, False, True, True]
 
 
 def test_generators_n1_text(capsys):

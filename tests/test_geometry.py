@@ -1,11 +1,14 @@
 """Counting formulas, generator enumeration, spreads, and the GQ(2,2) audit."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from qpolar import (
     CapacityError,
     DimensionMismatch,
     DomainError,
+    GQReport,
     Spread,
     Subspace,
     SymplecticVector,
@@ -395,3 +398,11 @@ def test_gq22_structure():
     assert report.collinear_partners == (6,)
     assert report.axiom_violations == 0
     assert report.passed
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(GQReport)])
+def test_gq22_report_fails_when_any_one_field_is_off(field):
+    report = gq22_structure_check()
+    value = getattr(report, field)
+    wrong = (*value, 0) if isinstance(value, tuple) else value + 1
+    assert not replace(report, **{field: wrong}).passed

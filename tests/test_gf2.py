@@ -265,19 +265,37 @@ def _reference_subspace_error(n, basis):
     return None
 
 
+def _seeded_bases(n, rng, count):
+    """RREF bases of random spans, each with one row XOR-ed into another and with two rows swapped."""
+    points = list(all_points(n))
+    for _ in range(count):
+        basis = rref(rng.sample(points, rng.randint(1, 2 * n))).basis
+        yield basis
+        if len(basis) > 1:
+            i, j = rng.sample(range(len(basis)), 2)
+            yield basis[:i] + (basis[i] ^ basis[j],) + basis[i + 1:]
+            rows = list(basis)
+            rows[i], rows[j] = rows[j], rows[i]
+            yield tuple(rows)
+
+
 def test_subspace_raises_the_first_failing_check():
-    for n in (1, 2):
+    cases = []
+    for n in (1, 2):  # exhaustive up to three rows
         other = 3 - n  # two rows over the other qubit count, one of them zero
         rows = [SymplecticVector(n, 0, 0), *all_points(n)]
         rows += [SymplecticVector(other, 0, 0), SymplecticVector(other, 1, 0)]
-        for size in range(4):
-            for basis in itertools.product(rows, repeat=size):
-                try:
-                    Subspace(n, basis)
-                    got = None
-                except QPolarError as err:
-                    got = type(err), str(err)
-                assert got == _reference_subspace_error(n, basis), basis
+        cases += [(n, basis) for size in range(4) for basis in itertools.product(rows, repeat=size)]
+    rng = random.Random(SEED)
+    for n in (3, 4):
+        cases += [(n, basis) for basis in _seeded_bases(n, rng, 100)]
+    for n, basis in cases:
+        try:
+            Subspace(n, basis)
+            got = None
+        except QPolarError as err:
+            got = type(err), str(err)
+        assert got == _reference_subspace_error(n, basis), basis
 
 
 @pytest.mark.parametrize("n,keys,message", [

@@ -236,6 +236,12 @@ def test_exact_matrix_basics():
         ident @ pauli_matrix("XX")
     with pytest.raises(AttributeError):
         ident.dim = 3
+    with pytest.raises(AttributeError):
+        ident.cols = ()
+    # Y (x) X built dense, and by kron: equal values hash equal
+    y_x = ExactMatrix(((0,) * 4,) * 4, ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
+    assert y_x == pauli_matrix("YX") and hash(y_x) == hash(pauli_matrix("YX"))
+    assert (ident == "I") is False
 
 
 @pytest.mark.parametrize(
