@@ -26,7 +26,7 @@ class CapacityError(QPolarError):
 # DimensionMismatch, every other cap CapacityError.  Derived caps are not
 # stored: params() takes the qubit count cap; verify takes the generator
 # enumeration cap, as it enumerates generators (verify 4: about 0.02 s, about
-# 0.2 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
+# 0.19 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
 # degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms

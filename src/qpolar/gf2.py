@@ -24,15 +24,16 @@ other pairs).  Tests exercise this equivalence directly.  Inside the
 package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
 taken per basis pair by ``is_totally_isotropic``, per word pair by
 ``pauli.commutes``, and for all keys at once by ``_perp_mask``, as a
-point's perpendicular set with key k as bit k - 1.  Points become
+point's perpendicular set with key k as bit k - 1, which the matrix
+oracle's ``pauli.commutation_sweep`` checks pair by pair.  Points become
 ``SymplecticVector``s only at the public edge, built when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
 right across (x | z), stored as the rows' packed keys by descending
 leading bit, so equal subspaces always carry identical key tuples.
 ``_reduce``, the package's one GF(2) row reduction, builds that basis in
-``rref``, decides the checked ``Subspace`` constructor, and gives
-``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
+``rref``, decides the checked constructor and ``Subspace.contains``, and
+gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class Subspace:
         for row in basis:
             if row.n != n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
-            key = row.x << n | row.z
+            key = row.key
             if not key:
                 raise DomainError("zero row in basis")
             keys.append(key)
@@ -184,10 +185,7 @@ class Subspace:
     def contains(self, v: SymplecticVector) -> bool:
         if v.n != self.n:
             raise DimensionMismatch("vector and subspace qubit counts differ")
-        key = v.key
-        for row in self.keys:  # as in rref: xor exactly when key holds the row's pivot
-            key = min(key, key ^ row)
-        return key == 0
+        return _reduce((*self.keys, v.key)) == list(self.keys)
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         """Canonical comparison key: rows ordered pivot-major, then by packed value."""

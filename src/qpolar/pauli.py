@@ -29,7 +29,9 @@ products add exponents exactly.  The commutation test compares AB and
 BA row by row, each row's column and exponent read straight from the
 factors, and stops at the first row that differs, so neither product
 is built.  The matrices come from literal 2x2 tables, never from x/z
-bits, so the oracle is independent of the form.
+bits, so the oracle is independent of the form.  Its sweep renders
+every nonzero key to a word and checks the matrices' verdicts against
+``gf2._perp_mask``, the form behind every count.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from itertools import product as _product
 
 from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, check_cap
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, _span_keys, _swap_halves
+from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -81,17 +83,14 @@ def _word_key(word: str) -> tuple[int, int]:
 def pauli_to_vector(word: str) -> SymplecticVector:
     """Letterwise encoding of a non-identity word into its point."""
     n, key = _word_key(word)
-    return SymplecticVector(n, key >> n, key & ((1 << n) - 1))
-
-
-def _double(table: list[str], q: int) -> list[str]:
-    """A q-qubit word table, indexed (x << q) | z, widened to 2q qubits."""
-    low, r = (1 << q) - 1, range(1 << 2 * q)
-    return [table[(x >> q) << q | z >> q] + table[(x & low) << q | z & low] for x in r for z in r]
+    return next(_vectors((key,), n))
 
 
 # entry (x4 << 4) | z4 is the word of one 4-qubit chunk, leading I's kept
-_CHUNKS = tuple(_double(_double([_XZ_TO_LETTER[x, z] for x in (0, 1) for z in (0, 1)], 1), 2))
+_CHUNKS = tuple(
+    "".join(_XZ_TO_LETTER[x >> s & 1, z >> s & 1] for s in (3, 2, 1, 0))
+    for x in range(16) for z in range(16)
+)
 
 
 def _keys_to_words(keys, n: int) -> list[str]:
@@ -236,21 +235,22 @@ def commutes_matrix(p: str, q: str) -> bool:
 def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     """Compare both commutation routes over all ordered pairs of non-identity words.
 
-    Each word is parsed once to its key and built once as a matrix; per
-    pair the form is the parity of one AND, and the matrix side is
-    ExactMatrix.commutes_with, which never reads x/z bits.
+    Each key 1 .. 4^N - 1 is rendered to its word and built once as a
+    matrix; per pair the form side is one bit of ``_perp_mask``, and the
+    matrix side is ExactMatrix.commutes_with, which never reads x/z bits.
     Returns (pairs_checked, mismatches).
     """
     n = n_qubits
-    check_cap("matrix oracle", n)  # before all 4^N words are listed
-    routes = [(_word_key(w)[1], pauli_matrix(w)) for w in all_words(n) if set(w) != {"I"}]
+    check_cap("matrix oracle", n)  # before all 4^N - 1 words are rendered
+    keys = range(1, 1 << 2 * n)
+    matrices = [pauli_matrix(w) for w in _keys_to_words(keys, n)]
     pairs = 0
     mismatches = 0
-    for u, a in routes:
-        swapped = _swap_halves(u, n)
-        for v, b in routes:
+    for u, a in zip(keys, matrices):
+        perp = _perp_mask(u, n)
+        for v, b in zip(keys, matrices):
             pairs += 1
-            if (not (v & swapped).bit_count() & 1) != a.commutes_with(b):
+            if (perp >> (v - 1) & 1) != a.commutes_with(b):
                 mismatches += 1
     return pairs, mismatches
 

@@ -52,20 +52,21 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     # first, so the generator enumeration cap is verify's cap before any count runs
     gens = enumerate_generators(n_qubits)
     checks: list[Check] = []
-    # one perpendicular mask per enumerated point key, for eq1, eq4 and eq5
+    # one perpendicular mask per point key 1 .. 4^N - 1, for eq4 and eq5
     perps = [_perp_mask(key, n_qubits) for key in range(1, 1 << (2 * n_qubits))]
 
-    checks.append(Check("eq1_point_count", p.point_count, len(perps)))
-
-    checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
-
+    points = (1 << len(perps)) - 1  # every point, as bit k - 1 for key k
+    covered = 0  # eq1: the points on some enumerated generator
     sizes = set()
     for g in gens:
-        commutant = -1  # the points perpendicular to every row: g itself when g is maximal isotropic
+        commutant = points  # the points perpendicular to every row: g itself when g is maximal isotropic
         for key in g.keys:
             commutant &= perps[key - 1]
+        covered |= commutant
         sizes.add(commutant.bit_count() if all(commutant >> (key - 1) & 1 for key in g.keys) else -1)
     size_actual = sizes.pop() if len(sizes) == 1 else -1
+    checks.append(Check("eq1_point_count", p.point_count, covered.bit_count()))
+    checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
     checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
 
     try:

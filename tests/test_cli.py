@@ -96,6 +96,25 @@ def test_verify_reports_a_failing_check_end_to_end(capsys, non_isotropic_generat
     assert [c["pass"] for c in checks] == [True, True, False, True, True]
 
 
+def test_eq1_counts_the_points_on_the_enumerated_generators(monkeypatch):
+    # drop the 3 N=2 generators through key 1 (IZ): it is the only point left uncovered
+    iz = pauli_to_vector("IZ")
+    gens = [g for g in qpolar.enumerate_generators(2) if not g.contains(iz)]
+    monkeypatch.setattr("qpolar.verify.enumerate_generators", lambda n: gens)
+    failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
+    assert failed == {"eq1_point_count": 14, "eq2_generator_count": 12}
+
+
+def test_eq3_fails_when_the_spread_cannot_be_built(capsys, monkeypatch):
+    def no_spread(n):
+        raise qpolar.DomainError("no spread")
+
+    monkeypatch.setattr("qpolar.verify.desarguesian_spread", no_spread)
+    failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
+    assert failed == {"eq3_spread_partition": -1}
+    assert run(capsys, "verify", "2")[0] == 1
+
+
 def test_generators_n1_text(capsys):
     code, out, _ = run(capsys, "generators", "1")
     assert code == 0

@@ -220,6 +220,8 @@ def test_contains_agrees_with_span():
             for key in range(1, 1 << (2 * n)):
                 v = SymplecticVector(n, key >> n, key & ((1 << n) - 1))
                 assert s.contains(v) == (v in members)
+    with pytest.raises(DimensionMismatch):
+        s.contains(SymplecticVector(1, 0, 1))
 
 
 def test_subspace_rejects_non_canonical_basis():

@@ -29,6 +29,7 @@ from qpolar import (
     validate_word,
     vector_to_pauli,
 )
+from qpolar.gf2 import _perp_mask
 from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words
 
 # single-letter products with the phase stripped, derived by hand from
@@ -242,6 +243,7 @@ def test_exact_matrix_basics():
     y_x = ExactMatrix(((0,) * 4,) * 4, ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
     assert y_x == pauli_matrix("YX") and hash(y_x) == hash(pauli_matrix("YX"))
     assert (ident == "I") is False
+    assert repr(pauli_matrix("XY")) == "ExactMatrix(dim=4)"
 
 
 @pytest.mark.parametrize(
@@ -435,6 +437,13 @@ def test_commutation_sweep_counts_a_wrong_matrix(monkeypatch):
     real = pauli_matrix
     monkeypatch.setattr("qpolar.pauli.pauli_matrix", lambda w: real("Z" if w == "X" else w))
     assert commutation_sweep(1) == (9, 2)
+
+
+def test_commutation_sweep_counts_a_wrong_form(monkeypatch):
+    # key 1 (Z) loses its own bit, so the form side says Z anticommutes with
+    # itself; every other pair keeps its verdict, so exactly 1 of the 9 mismatches
+    monkeypatch.setattr("qpolar.pauli._perp_mask", lambda key, n: _perp_mask(key, n) ^ (key == 1))
+    assert commutation_sweep(1) == (9, 1)
 
 
 def test_mcs_of_generator():
