@@ -9,36 +9,63 @@ Subcommands:
   commute P Q [--oracle]       test two Pauli words
 
 Exit codes: 0 = success / commute, 1 = a check failed / anticommute,
-2 = usage error.  JSON output always uses the envelope
-{"n": ..., "kind": ..., "data": [...]} with sorted keys and two-space
-indentation, so parse-and-reserialize is byte-identical.
+2 = usage error, 141 = stdout closed early, as by ``| head -1``
+(128 + SIGPIPE, what a shell reports for cat; nothing on stderr).
+
+JSON output always uses the envelope {"n": ..., "kind": ..., "data": [...]}
+with sorted keys and two-space indentation, so parse-and-reserialize is
+byte-identical.  canonical_json is json.dumps(sort_keys=True, indent=2)
+byte for byte, as a property test checks, but joins lists of strings
+through the stdlib's C string encoder.  The MCS blocks of one
+generators or spread command are rendered through one word table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import CAPS, DomainError, QPolarError, check_cap
 from .geometry import desarguesian_spread, enumerate_generators, enumerate_spreads
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
 from .gf2 import _perp_mask, span_points  # noqa: F401
-from .pauli import _keys_to_words, commutes, commutes_matrix, mcs_of_generator
+from .pauli import _keys_to_words, _mcs_words, commutes, commutes_matrix
 from .verify import run_verification
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """json.dumps(payload, sort_keys=True, indent=2), byte for byte."""
+    return _encode(payload, "")
+
+
+def _encode(obj, indent: str) -> str:
+    """canonical_json of obj nested at ``indent``.
+
+    With an indent the stdlib encodes in pure Python, so a list of
+    strings is joined here through its C string encoder instead, which
+    raises TypeError on any other item.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            body = sep.join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            body = sep.join([_encode(item, inner) for item in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    # scalars, empty containers, and dicts with keys that json itself converts
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 def _emit_json(n_qubits: int, kind: str, data) -> None:
     print(canonical_json({"n": n_qubits, "kind": kind, "data": data}))
-
-
-def _block_words(subspace) -> list[str]:
-    return sorted(mcs_of_generator(subspace))
 
 
 def cmd_verify(args) -> int:
@@ -56,7 +83,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    blocks = [_block_words(g) for g in enumerate_generators(args.n_qubits)]
+    blocks = _mcs_words(enumerate_generators(args.n_qubits), args.n_qubits)
     if args.format == "json":
         _emit_json(args.n_qubits, "generators", blocks)
     else:
@@ -77,7 +104,9 @@ def cmd_spread(args) -> int:
         spreads = enumerate_spreads(n, limit=None)
     else:
         spreads = enumerate_spreads(n, limit=1 if args.limit is None else args.limit)
-    rendered = [[_block_words(b) for b in s.blocks] for s in spreads]
+    # every spread's blocks go through one word table, then regroup per spread
+    words = iter(_mcs_words([b for s in spreads for b in s.blocks], n))
+    rendered = [[next(words) for _ in s.blocks] for s in spreads]
     if args.format == "json":
         _emit_json(n, "spreads", rendered)
     else:
@@ -188,8 +217,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so the
+        # interpreter's final flush cannot fail and print a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

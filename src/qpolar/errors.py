@@ -31,7 +31,9 @@ class CapacityError(QPolarError):
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.01 s for 2,295 subspaces; N=5 would take
-    # about 0.8 s for 75,735 (measured with this entry raised to 5)
+    # about 0.8 s for 75,735 (measured with this entry raised to 5).  generators 4
+    # --format json: about 0.04 s in-process (median of 21), a third of it the
+    # enumeration and most of the rest rendering the 34,425 words
     "generator enumeration": 4,
     "spread search": 3,  # enumerate_spreads(3, limit=1): about 1.5 ms
     # about 0.2 ms for 6 spreads; all 960 at N=3 take about 0.02 s, nearly all

@@ -255,6 +255,11 @@ def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     return pairs, mismatches
 
 
+def _check_generator(g: Subspace) -> None:
+    if not is_maximal_isotropic(g):
+        raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
+
+
 def mcs_of_generator(g: Subspace) -> list[str]:
     """The maximally commuting operator set carried by a generator.
 
@@ -262,6 +267,19 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     point order.  Maximality is is_maximal_isotropic's rank-N check; no
     point scan runs here.  The span is built and rendered on packed keys.
     """
-    if not is_maximal_isotropic(g):
-        raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
+    _check_generator(g)
     return _keys_to_words(sorted(_span_keys(g)), g.n)
+
+
+def _mcs_words(blocks, n: int) -> list[list[str]]:
+    """sorted(mcs_of_generator(g)) for each generator g over n qubits, from one word table.
+
+    The table holds all 4^N words, so this serves the N the CLI prints,
+    not the qubit cap.  Each block is still checked as a generator.
+    """
+    table = _keys_to_words(range(1 << 2 * n), n)
+    rendered = []
+    for g in blocks:
+        _check_generator(g)
+        rendered.append(sorted([table[k] for k in _span_keys(g)]))
+    return rendered

@@ -328,12 +328,31 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # about 172 KB, more than a pipe buffer holds: the write after the close fails
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpolar", "generators", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+    assert first == b"IIIX,IIXI,IIXX,IXII,IXIX,IXXI,IXXX,XIII,XIIX,XIXI,XIXX,XXII,XXIX,XXXI,XXXX\n"
+
+
 # sha256 of stdout and the exit code of each invocation, captured at commit
 # 117794f, before the generator DFS, perp_census and the span helper moved
 # onto packed keys (the two graph 3 digests at 7d0947d, before the graph
 # took its adjacency from perpendicular masks; the two spread 3 search
-# digests at 2a1a7ee, before the spread search moved onto bitmasks): a
-# change of internal representation must leave every byte of output alone.
+# digests at 2a1a7ee, before the spread search moved onto bitmasks; the
+# text generators 1..4 and spread 3 search --limit 1000 digests at 3acef06,
+# before MCS blocks were rendered through one word table per command and
+# canonical_json stopped calling json.dumps with an indent): a change of
+# internal representation must leave every byte of output alone.
 OUTPUT_GOLDENS = [
     ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
     ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
@@ -343,6 +362,10 @@ OUTPUT_GOLDENS = [
     ("verify 3 --format json", 0, "d5ab35be29c7d4788efa0cc0ffd1dcc4f992f73661c11b9121977830e9c48efb"),
     ("verify 4", 0, "5bc942aac078cae1638e2a15924de9e38f8049f464857387caef91d0884ca8a6"),
     ("verify 4 --format json", 0, "6e6a157c6cad0c6be79ad5af02fdaf456924e877ff50a207d2038e3148cb1883"),
+    ("generators 1", 0, "a3d61916033253953c512578136d853085cb4145950e0da1155e1766568c0d52"),
+    ("generators 2", 0, "f9b50c63c720f183f003af38b1e809284f85f56e9612f4c8e89320eb377412be"),
+    ("generators 3", 0, "658cad3a5ace715ce5062f7c9b0834c8d0026eb33c83c9f4513d82b8520afa23"),
+    ("generators 4", 0, "0539ba7fe22811df8784990e9e7580a1ac10339ff01a75b500eb03ab7d7ba9e2"),
     ("generators 1 --format json", 0, "9bf1135b23c9c6844bd3ba0e01b3fb71f4a4cd16e8dcee526209aea62dca0c01"),
     ("generators 2 --format json", 0, "8dd39dd4deaf28e2b13fa4768aedd30a2aa8928d924ea3dea022a018d1b56504"),
     ("generators 3 --format json", 0, "fb1df20205feb3355745bb9af01cba077f0795e623a881d7611a5eb62f8ee21d"),
@@ -357,6 +380,7 @@ OUTPUT_GOLDENS = [
     ("spread 5 --format json", 0, "e0df2f08aec5021e5df745acbd6bfb3a550ebaaf193d8d560c3b1b0f9b0398f3"),
     ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),
     ("spread 3 --method search --limit 1", 0, "466c09c2c01a5715920712d58b82a9d88b4d5e7e75f4d024842836864ded327e"),
+    ("spread 3 --method search --limit 1000", 0, "698f9cf5d42409a718f2909b97ba1ca6164e502f06130f0c5e9262012265bfd9"),
     (
         "spread 3 --method search --limit 1000 --format json",
         0,

@@ -1,14 +1,15 @@
-"""Generated command lines: every one exits 0, 1 or 2, never with a traceback."""
+"""Generated inputs: command lines exit 0, 1 or 2 without a traceback; canonical_json matches json.dumps."""
 
 import contextlib
 import io
+import json
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from qpolar.cli import main  # noqa: E402
+from qpolar.cli import canonical_json, main  # noqa: E402
 
 # a few tokens that are not integers, which argparse itself rejects
 NOT_INT = st.sampled_from(["x", "1.5", ""])
@@ -61,3 +62,26 @@ def test_generated_argv_exits_cleanly(argv):
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+# JSON payloads: non-ASCII and control-character strings, ints, bools, None,
+# and empty containers, in nested lists, tuples and dicts with str keys (or
+# int keys, which json converts to strings)
+TEXT = st.text(max_size=6) | st.sampled_from(["", "\x00\t\n\"\\", "\u00e9\u2028\U0001d54f"])
+SCALARS = st.none() | st.booleans() | st.integers() | TEXT
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(TEXT, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(PAYLOADS)
+@hypothesis.example({"data": [[], {}, ("IX", "XI")], "kind": "generators", "n": 2})
+def test_canonical_json_matches_json_dumps(payload):
+    assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -165,8 +165,9 @@ def test_is_maximal_isotropic():
 
 def _extending_point(s, points):
     """A point outside s perpendicular to all of s, by a literal scan; None if none."""
+    basis = s.basis  # a view built on each read, so read once per subspace
     for q in points:
-        if all(sp_form(q, b) == 0 for b in s.basis) and not s.contains(q):
+        if all(sp_form(q, b) == 0 for b in basis) and not s.contains(q):
             return q
     return None
 

@@ -30,7 +30,7 @@ from qpolar import (
     vector_to_pauli,
 )
 from qpolar.gf2 import _perp_mask
-from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words
+from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words, _mcs_words
 
 # single-letter products with the phase stripped, derived by hand from
 # XY = iZ, YZ = iX, ZX = iY and P^2 = I; used as an oracle independent
@@ -459,6 +459,32 @@ def test_mcs_of_generator():
     z = SymplecticVector(1, 0, 1)
     with pytest.raises(DomainError):
         mcs_of_generator(rref([x, z]))  # not isotropic
+
+
+def test_batch_renderer_matches_mcs_of_generator():
+    cases = [(n, enumerate_generators(n)) for n in (1, 2, 3, 4)]
+    cases += [(n, desarguesian_spread(n).blocks) for n in (1, 2, 3, 4, 5)]
+    for n, blocks in cases:
+        assert _mcs_words(blocks, n) == [sorted(mcs_of_generator(g)) for g in blocks]
+    assert _mcs_words([], 3) == []
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        rref([SymplecticVector(2, 0b10, 0)]),  # not maximal
+        rref([SymplecticVector(1, 1, 0), SymplecticVector(1, 0, 1)]),  # not isotropic
+    ],
+    ids=["rank-deficient", "not-isotropic"],
+)
+def test_batch_renderer_rejects_a_non_generator_like_mcs_of_generator(block):
+    n = block.n
+    good = enumerate_generators(n)[0]
+    with pytest.raises(DomainError) as expected:
+        mcs_of_generator(block)
+    with pytest.raises(DomainError) as got:
+        _mcs_words([good, block], n)
+    assert str(got.value) == str(expected.value)
 
 
 def test_mcs_words_are_ordered_by_point():
