@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--all",
         action="store_true",
-        help=f"search: enumerate every spread (N <= {CAPS['full spread enumeration']})",
+        help=f"search: enumerate every spread (N <= {CAPS['spread search']})",
     )
     p.add_argument("--limit", type=int, help="search: stop after this many spreads")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -30,15 +30,15 @@ class CapacityError(QPolarError):
 # degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
-    # enumerate_generators(4): about 0.01 s for 2,295 subspaces; N=5 would take
-    # about 0.8 s for 75,735 (measured with this entry raised to 5).  generators 4
-    # --format json: about 0.04 s in-process (median of 21), a third of it the
-    # enumeration and most of the rest rendering the 34,425 words
+    # enumerate_generators(4): about 0.013 s for 2,295 subspaces; N=5 would take
+    # about 1.0 s for 75,735 (measured with this entry raised to 5).  generators 4
+    # --format json: 0.02-0.035 s in-process (median of 21, five runs), about half
+    # of it the enumeration and most of the rest rendering the 34,425 words
     "generator enumeration": 4,
-    "spread search": 3,  # enumerate_spreads(3, limit=1): about 1.5 ms
-    # about 0.2 ms for 6 spreads; all 960 at N=3 take about 0.02 s, nearly all
-    # of it the cover search, as search results are built without re-validation
-    "full spread enumeration": 2,
+    # enumerate_spreads(3): 0.014-0.021 s for all 960 spreads (median of 11, four
+    # runs), nearly all of it the cover search, as search results are built
+    # without re-validation; enumerate_spreads(3, limit=1): about 1.5 ms
+    "spread search": 3,
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }

@@ -38,7 +38,8 @@ and a node holds two ints, the uncovered points and the generators still
 disjoint from every chosen one.  Precomputed per call are the generators
 through each point and the generators meeting each generator, so a
 child's state is two big-int ANDs.  Results are sorted by generator
-index, which is canonical order.
+index, which is canonical order.  The search runs up to the spread
+search cap, N = 3, where it finds all 960 spreads.
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -308,10 +309,10 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     generators' point masks in canonical generator order, and
     _exact_covers covers the uncovered point with fewest remaining
     candidate blocks first (ties to the lowest point), candidates tried
-    in canonical generator order.  Without a limit the search is capped
-    by the full spread enumeration entry of errors.CAPS, with one by the
-    spread search entry.  Exact cover with a fixed branching rule reaches
-    each spread by exactly one path, so no spread is found twice.
+    in canonical generator order.  The spread search entry of errors.CAPS
+    caps it with or without a limit; without one it returns every spread.
+    Exact cover with a fixed branching rule reaches each spread by
+    exactly one path, so no spread is found twice.
 
     Results are returned sorted by canonical form.  Generator indices
     follow Subspace.sort_key, so that is the order of the index tuples
@@ -322,9 +323,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """
     n = n_qubits
     check_cap("spread search", n)
-    if limit is None:
-        check_cap("full spread enumeration", n, " (pass a limit)")
-    elif limit < 1:
+    if limit is not None and limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)

@@ -255,11 +255,6 @@ def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     return pairs, mismatches
 
 
-def _check_generator(g: Subspace) -> None:
-    if not is_maximal_isotropic(g):
-        raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-
-
 def mcs_of_generator(g: Subspace) -> list[str]:
     """The maximally commuting operator set carried by a generator.
 
@@ -267,7 +262,8 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     point order.  Maximality is is_maximal_isotropic's rank-N check; no
     point scan runs here.  The span is built and rendered on packed keys.
     """
-    _check_generator(g)
+    if not is_maximal_isotropic(g):
+        raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
     return _keys_to_words(sorted(_span_keys(g)), g.n)
 
 
@@ -275,11 +271,12 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     """sorted(mcs_of_generator(g)) for each generator g over n qubits, from one word table.
 
     The table holds all 4^N words, so this serves the N the CLI prints,
-    not the qubit cap.  Each block is still checked as a generator.
+    not the qubit cap.  The blocks come from the package's own enumerators,
+    so none is re-checked here; tests/test_geometry.py rebuilds them through
+    the checking constructors: every generator at N <= 4
+    (test_generators_are_valid_and_distinct), every spread search result at
+    N <= 3 (test_enumerate_spreads_n2_full, test_enumerate_spreads_n3_all)
+    and every constructed spread (test_desarguesian_spread).
     """
     table = _keys_to_words(range(1 << 2 * n), n)
-    rendered = []
-    for g in blocks:
-        _check_generator(g)
-        rendered.append(sorted([table[k] for k in _span_keys(g)]))
-    return rendered
+    return [sorted([table[k] for k in _span_keys(g)]) for g in blocks]

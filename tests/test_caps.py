@@ -28,10 +28,10 @@ GUARDED = {
     "qubit count": (CAPS["qubit count"], lambda n: SymplecticVector(n, 0, 1), DimensionMismatch),
     "generator enumeration": (CAPS["generator enumeration"], enumerate_generators, CapacityError),
     "spread search": (CAPS["spread search"], lambda n: enumerate_spreads(n, limit=1), CapacityError),
-    "full spread enumeration": (CAPS["full spread enumeration"], enumerate_spreads, CapacityError),
     "matrix oracle": (CAPS["matrix oracle"], lambda n: commutes_matrix("X" * n, "Z" * n), CapacityError),
     "graph": (CAPS["graph"], graph, CapacityError),
-    # derived caps, stored nowhere
+    # derived caps, stored nowhere; search without a limit takes the spread search cap
+    "full spread enumeration": (CAPS["spread search"], enumerate_spreads, CapacityError),
     "params": (CAPS["qubit count"], params, DimensionMismatch),
     "verify": (CAPS["generator enumeration"], run_verification, CapacityError),
     "constructed spreads": (max(MODULI), desarguesian_spread, CapacityError),

@@ -199,7 +199,6 @@ def test_spread_json_round_trip(capsys):
 
 def test_spread_usage_errors(capsys):
     assert run(capsys, "spread", "2", "--all")[0] == 2  # --all needs search
-    assert run(capsys, "spread", "3", "--method", "search", "--all")[0] == 2
     assert run(capsys, "spread", "2", "--method", "search", "--all", "--limit", "2")[0] == 2
     assert run(capsys, "spread", "6")[0] == 2
     assert run(capsys, "spread", "4", "--method", "search")[0] == 2
@@ -381,6 +380,7 @@ OUTPUT_GOLDENS = [
     ("spread 2 --method search --all", 0, "ca9862fc4089f2c01c2f75a53ec31a77f3f6c467c7847c7b66c1a87674afca8a"),
     ("spread 3 --method search --limit 1", 0, "466c09c2c01a5715920712d58b82a9d88b4d5e7e75f4d024842836864ded327e"),
     ("spread 3 --method search --limit 1000", 0, "698f9cf5d42409a718f2909b97ba1ca6164e502f06130f0c5e9262012265bfd9"),
+    ("spread 3 --method search --all", 0, "698f9cf5d42409a718f2909b97ba1ca6164e502f06130f0c5e9262012265bfd9"),
     (
         "spread 3 --method search --limit 1000 --format json",
         0,

@@ -307,8 +307,9 @@ def test_enumerate_spreads_n3_needs_limit():
     found = enumerate_spreads(3, limit=1)
     assert len(found) == 1
     _check_partition_directly(found[0], 3)
-    with pytest.raises(CapacityError):
-        enumerate_spreads(3)
+    everything = [s.sort_key() for s in enumerate_spreads(3)]
+    assert len(everything) == 960
+    assert everything == [s.sort_key() for s in enumerate_spreads(3, limit=1000)]
     with pytest.raises(CapacityError):
         enumerate_spreads(4, limit=1)
     with pytest.raises(DomainError):
