@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"search: enumerate every spread (N <= {CAPS['spread search']})",
     )
-    p.add_argument("--limit", type=int, help="search: stop after this many spreads")
+    p.add_argument("--limit", type=int, metavar="K", help="search: the first K spreads of --all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_spread)
 

@@ -35,9 +35,9 @@ CAPS = {
     # --format json: 0.02-0.035 s in-process (median of 21, five runs), about half
     # of it the enumeration and most of the rest rendering the 34,425 words
     "generator enumeration": 4,
-    # enumerate_spreads(3): 0.014-0.021 s for all 960 spreads (median of 11, four
+    # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
     # runs), nearly all of it the cover search, as search results are built
-    # without re-validation; enumerate_spreads(3, limit=1): about 1.5 ms
+    # without re-validation; enumerate_spreads(3, limit=1): about 1.6-1.9 ms
     "spread search": 3,
     "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges

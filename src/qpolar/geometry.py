@@ -37,9 +37,12 @@ run as Algorithm X on bitmasks: each generator's point mask is a row,
 and a node holds two ints, the uncovered points and the generators still
 disjoint from every chosen one.  Precomputed per call are the generators
 through each point and the generators meeting each generator, so a
-child's state is two big-int ANDs.  Results are sorted by generator
-index, which is canonical order.  The search runs up to the spread
-search cap, N = 3, where it finds all 960 spreads.
+child's state is two big-int ANDs.  A node covers the lowest uncovered
+point, trying the generators through it in index order.  A chosen block
+then has that point as its smallest, so spreads come out in canonical
+order as they are found, and a limit of k returns the first k.  The
+search runs up to the spread search cap, N = 3, where it finds all 960
+spreads.
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -246,10 +249,12 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
 
     Algorithm X on bitmasks (Knuth, "Dancing Links"): a node holds the
     uncovered columns and the live rows, those meeting no chosen row.  It
-    branches on the uncovered column with fewest live rows through it
-    (ties to the lowest column; none is a dead end, one ends the scan) and
-    tries those rows in ascending index order.  Each cover is returned
-    once, as its row indices in the order they were chosen.
+    branches on the lowest uncovered column and tries the live rows
+    through it in ascending index order; none is a dead end.  Each cover
+    is returned once, as its row indices in the order they were chosen,
+    which is the order of each row's lowest column.  Covers come out in
+    lexicographic order of those index tuples, so a limit of k returns
+    the first k.
     """
     through = [0] * n_cols  # the rows through each column, bit r for row r
     for r, row in enumerate(rows):
@@ -274,19 +279,7 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
         if not uncovered:
             covers.append(tuple(chosen))
             return limit is None or len(covers) < limit
-        best, fewest = 0, len(rows) + 1
-        scan = uncovered
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            cands = through[low.bit_length() - 1] & alive
-            count = cands.bit_count()
-            if count < fewest:
-                if not count:
-                    return True  # dead branch
-                best, fewest = cands, count
-                if count == 1:
-                    break
+        best = through[(uncovered & -uncovered).bit_length() - 1] & alive
         while best:
             low = best & -best
             best ^= low
@@ -303,22 +296,25 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
 
 
 def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
-    """Exhaustive exact-cover search for spreads.
+    """Exhaustive exact-cover search for spreads, in canonical order.
 
     Deterministic: the columns are the points, the rows are the
     generators' point masks in canonical generator order, and
-    _exact_covers covers the uncovered point with fewest remaining
-    candidate blocks first (ties to the lowest point), candidates tried
-    in canonical generator order.  The spread search entry of errors.CAPS
-    caps it with or without a limit; without one it returns every spread.
-    Exact cover with a fixed branching rule reaches each spread by
-    exactly one path, so no spread is found twice.
+    _exact_covers covers the lowest uncovered point, trying the blocks
+    through it in canonical generator order.  The spread search entry of
+    errors.CAPS caps it with or without a limit; without one it returns
+    every spread.  Exact cover with a fixed branching rule reaches each
+    spread by exactly one path, so no spread is found twice.
 
-    Results are returned sorted by canonical form.  Generator indices
-    follow Subspace.sort_key, so that is the order of the index tuples
-    once each lists its blocks by smallest point, as Spread does.  An
-    exact cover of the points by generators is a spread by definition,
-    so results are built unchecked; tests rebuild every one through the
+    Results come out in canonical order as found, so a limit of k
+    returns the first k spreads of the full list.  Every point below the
+    one being covered is already covered and blocks are disjoint, so each
+    chosen block's smallest point is the one it was chosen to cover: each
+    cover lists its blocks by smallest point, as Spread does.  Generator
+    indices follow Subspace.sort_key, and covers come out in
+    lexicographic index order, which is Spread.sort_key order.  An exact
+    cover of the points by generators is a spread by definition, so
+    results are built unchecked; tests rebuild every one through the
     checking Spread constructor.
     """
     n = n_qubits
@@ -328,9 +324,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
 
     generators = enumerate_generators(n)
     covers = _exact_covers([_span_mask(g) for g in generators], (1 << (2 * n)) - 1, limit)
-    smallest = [g.keys[-1] for g in generators]
-    ordered = sorted(tuple(sorted(cover, key=smallest.__getitem__)) for cover in covers)
-    return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in ordered]
+    return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in covers]
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,7 @@ def test_enumerate_spreads_deterministic():
     assert [s.sort_key() for s in limited] == [s.sort_key() for s in enumerate_spreads(2, limit=2)]
 
 
-def test_enumerate_spreads_n3_needs_limit():
+def test_enumerate_spreads_n3_with_and_without_limit():
     found = enumerate_spreads(3, limit=1)
     assert len(found) == 1
     _check_partition_directly(found[0], 3)
@@ -318,10 +318,9 @@ def test_enumerate_spreads_n3_needs_limit():
 
 def _reference_spread_search(n, limit=None):
     """The list-based exact cover, written from the enumerate_spreads rule:
-    at each node every uncovered point lists the blocks through it that miss
-    every covered point, the first point with the shortest list is covered
-    (a point with none ends the branch, one with a single block ends the
-    scan), and its blocks are tried in canonical generator order."""
+    at each node the lowest uncovered point is covered, trying the blocks
+    through it that miss every covered point in canonical generator order
+    (none ends the branch).  Spreads are returned in discovery order."""
     gens = enumerate_generators(n)
     blocks = [{p.key for p in span_points(g)} for g in gens]
     points = range(1, 1 << (2 * n))
@@ -333,18 +332,10 @@ def _reference_spread_search(n, limit=None):
         if len(covered) == len(points):
             found.append(list(chosen))
             return limit is None or len(found) < limit
-        best = None
-        for p in points:
-            if p in covered:
+        lowest = next(p for p in points if p not in covered)
+        for b in through[lowest]:
+            if blocks[b] & covered:
                 continue
-            cands = [b for b in through[p] if not blocks[b] & covered]
-            if not cands:
-                return True
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) == 1:
-                    break
-        for b in best:
             chosen.append(b)
             keep_going = search(covered | blocks[b])
             chosen.pop()
@@ -353,8 +344,7 @@ def _reference_spread_search(n, limit=None):
         return True
 
     search(set())
-    spreads = [Spread(n, tuple(gens[b] for b in sol)) for sol in found]
-    return sorted(spreads, key=Spread.sort_key)
+    return [Spread(n, tuple(gens[b] for b in sol)) for sol in found]
 
 
 @pytest.mark.parametrize("n,limit", [(1, None), (2, None), (3, 1), (3, 2), (3, 7), (3, 100), (3, 1000)])
@@ -363,13 +353,24 @@ def test_enumerate_spreads_matches_reference_search(n, limit):
 
 
 def test_enumerate_spreads_n4_sorted_past_cap(monkeypatch):
-    # at N <= 3 the search happens to find spreads in canonical order; at N=4 it does not
     monkeypatch.setitem(CAPS, "spread search", 4)
     spreads = enumerate_spreads(4, limit=5)
     assert spreads == _reference_spread_search(4, limit=5)
     assert all(Spread(s.n, s.blocks) == s for s in spreads)
     keys = [s.sort_key() for s in spreads]
     assert len(set(keys)) == 5 and keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,limits", [(2, range(1, 8)), (3, (1, 2, 7, 100, 959, 960, 1000))])
+def test_enumerate_spreads_limit_is_prefix(n, limits):
+    everything = enumerate_spreads(n)
+    for k in limits:
+        assert enumerate_spreads(n, limit=k) == everything[:k]
+
+
+def test_enumerate_spreads_limit_is_prefix_past_cap(monkeypatch):
+    monkeypatch.setitem(CAPS, "spread search", 4)
+    assert enumerate_spreads(4, limit=5) == enumerate_spreads(4, limit=20)[:5]
 
 
 def test_enumerate_spreads_n3_all():
