@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the table of size caps."""
+"""Exception types, the table of size caps, and the value base shared across the package."""
+
+from operator import attrgetter
 
 
 class QPolarError(ValueError):
@@ -60,3 +62,52 @@ class NotABasisError(QPolarError):
 
 class DomainError(QPolarError):
     """Structured input violates an operation's precondition (e.g. not isotropic, not a generator)."""
+
+
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, in place of a frozen dataclass.
+
+    Equality (with the same class only), hash, repr, pickling and copying
+    run over the field tuple, read by one ``operator.attrgetter`` per
+    class, and fields cannot be assigned or deleted.  It spares ``import
+    qpolar`` loading ``dataclasses``, the modules that pulls in, and its
+    generated methods.  The generic ``__init__`` takes every field;
+    constructors that validate define their own.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._astuple = attrgetter(*cls.__slots__)  # not a descriptor: called as self._astuple(self)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {', '.join(names)}")
+        self.__setstate__(values[name] for name in names)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return self._astuple(self)
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)

@@ -52,10 +52,8 @@ reports them without claiming an independent recount.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-
 from . import gf2n
-from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, check_cap
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, _Value, check_cap
 from .gf2 import (
     Subspace,
     SymplecticVector,
@@ -67,16 +65,10 @@ from .gf2 import (
 )
 
 
-@dataclass(frozen=True)
-class PolarSpaceParams:
+class PolarSpaceParams(_Value):
     """The five closed-form counts for a given qubit number."""
 
-    n_qubits: int
-    point_count: int
-    generator_count: int
-    generator_size: int
-    spread_size: int
-    non_perp_count: int
+    __slots__ = ("n_qubits", "point_count", "generator_count", "generator_size", "spread_size", "non_perp_count")
 
 
 def params(n_qubits: int) -> PolarSpaceParams:
@@ -161,8 +153,7 @@ def is_maximal_isotropic(s: Subspace) -> bool:
     return s.rank == s.n
 
 
-@dataclass(frozen=True)
-class Spread:
+class Spread(_Value):
     """2^N + 1 generators partitioning all 4^N - 1 points.
 
     ``Spread(n, blocks)`` checks every partition invariant, so an invalid
@@ -171,10 +162,10 @@ class Spread:
     row: a combination with any other row leads at a higher bit.
     """
 
-    n: int
-    blocks: tuple[Subspace, ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, blocks: tuple[Subspace, ...]) -> None:
+        super().__init__(n, blocks)
         self.validate()
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.keys[-1])))
 
@@ -327,22 +318,17 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in covers]
 
 
-@dataclass(frozen=True)
-class GQReport:
+class GQReport(_Value):
     """Structure audit of the N=2 space (the generalized quadrangle of order two)."""
 
-    point_count: int
-    line_count: int
-    points_per_line: tuple[int, ...]
-    lines_per_point: tuple[int, ...]
-    collinear_partners: tuple[int, ...]
-    axiom_violations: int
-
+    __slots__ = (
+        "point_count", "line_count", "points_per_line", "lines_per_point", "collinear_partners", "axiom_violations"
+    )
     EXPECTED = (15, 15, (3,), (3,), (6,), 0)
 
     @property
     def passed(self) -> bool:
-        return astuple(self) == self.EXPECTED
+        return self._astuple(self) == self.EXPECTED
 
 
 def gq22_structure_check() -> GQReport:

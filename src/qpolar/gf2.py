@@ -38,24 +38,23 @@ gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .errors import DimensionMismatch, DomainError, ZeroVectorError, check_cap
+from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, check_cap
 
 
-@dataclass(frozen=True, slots=True)
-class SymplecticVector:
+class SymplecticVector(_Value):
     """An element of V(2N, 2), bit-packed as (x-part, z-part)."""
 
-    n: int
-    x: int
-    z: int
+    __slots__ = ("n", "x", "z")
 
-    def __post_init__(self) -> None:
-        check_cap("qubit count", self.n)
-        if not 0 <= self.x < (1 << self.n) or not 0 <= self.z < (1 << self.n):
-            raise DomainError(f"x/z parts must be {self.n}-bit values")
+    def __init__(self, n: int, x: int, z: int) -> None:
+        check_cap("qubit count", n)
+        if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
+            raise DomainError(f"x/z parts must be {n}-bit values")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def from_bits(cls, x_bits: str, z_bits: str) -> "SymplecticVector":
@@ -134,8 +133,7 @@ def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
     return ((u.x & v.z).bit_count() + (u.z & v.x).bit_count()) & 1
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Subspace:
+class Subspace(_Value):
     """A GF(2) subspace given by its (unique) reduced row echelon basis.
 
     The basis is stored as ``keys``, the rows' packed keys by descending
@@ -145,8 +143,7 @@ class Subspace:
     basis unchanged; build from any other basis through :func:`rref`.
     """
 
-    n: int
-    keys: tuple[int, ...]
+    __slots__ = ("n", "keys")
 
     def __init__(self, n: int, basis: Iterable[SymplecticVector]) -> None:
         check_cap("qubit count", n)

@@ -19,10 +19,9 @@ and trace(a) in {0, 1} for every element (test_trace_properties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .errors import DimensionMismatch, DomainError, NotABasisError
+from .errors import DimensionMismatch, DomainError, NotABasisError, _Value
 from .gf2 import _reduce
 
 MODULI = {
@@ -39,15 +38,17 @@ def _check_degree(n: int) -> None:
         raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    n: int
-    bits: int
+class FieldElement(_Value):
+    """An element of GF(2^n): bit i of ``bits`` is the coefficient of x^i."""
 
-    def __post_init__(self) -> None:
-        _check_degree(self.n)
-        if not 0 <= self.bits < (1 << self.n):
-            raise DomainError(f"coefficients must fit in {self.n} bits")
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int) -> None:
+        _check_degree(n)
+        if not 0 <= bits < (1 << n):
+            raise DomainError(f"coefficients must fit in {n} bits")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
     def __xor__(self, other: "FieldElement") -> "FieldElement":
         if self.n != other.n:

@@ -36,11 +36,10 @@ every nonzero key to a word and checks the matrices' verdicts against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _product
 
-from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, check_cap
+from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
 
@@ -127,16 +126,14 @@ def commutes(p: str, q: str) -> bool:
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ExactMatrix:
+class ExactMatrix(_Value):
     """A square monomial matrix over the Gaussian integers with unit entries.
 
     Row r holds its only nonzero entry, i**phases[r], in column cols[r];
     ``re`` and ``im`` are dense views of the real and imaginary parts.
     """
 
-    cols: tuple[int, ...]
-    phases: tuple[int, ...]
+    __slots__ = ("cols", "phases")
 
     def __init__(self, re, im):
         re, im = tuple(map(tuple, re)), tuple(map(tuple, im))

@@ -8,34 +8,29 @@ actual.  The ``verify`` subcommand prints the report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from .errors import DomainError
+from .errors import DomainError, _Value
 from .geometry import desarguesian_spread, enumerate_generators, params
 from .gf2 import _perp_mask
 from .pauli import commutation_sweep
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     """One named count with its closed-formula expectation."""
 
-    name: str
-    expected: int
-    actual: int
+    __slots__ = ("name", "expected", "actual")
 
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "pass": self.ok}
+        return {**dict(zip(self.__slots__, self._astuple(self))), "pass": self.ok}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n_qubits: int
-    checks: tuple[Check, ...]
+class VerificationReport(_Value):
+    """The checks of one qubit number, in run order; ``overall`` is whether every one passed."""
+
+    __slots__ = ("n_qubits", "checks")
 
     @property
     def overall(self) -> bool:

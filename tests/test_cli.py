@@ -323,8 +323,20 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
     assert (done.returncode, done.stdout, done.stderr) == (0, "commute\n", "")
     done = python("-c", "from qpolar import main, run_verification; print(run_verification(1).overall)")
     assert (done.returncode, done.stdout) == (0, "True\n")
-    done = python("-c", "import sys, qpolar; print('qpolar.cli' in sys.modules)")
-    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_import_loads_no_heavy_stdlib_module_and_not_the_cli():
+    # -S: a plain interpreter, as a site .pth file may load some of these itself
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import qpolar; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    added = set(done.stdout.split())
+    assert "qpolar.gf2" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "typing", "argparse", "json", "qpolar.cli"})
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -1,7 +1,5 @@
 """Counting formulas, generator enumeration, spreads, and the GQ(2,2) audit."""
 
-from dataclasses import fields, replace
-
 import pytest
 
 from qpolar import (
@@ -403,9 +401,10 @@ def test_gq22_structure():
     assert report.passed
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(GQReport)])
+@pytest.mark.parametrize("field", GQReport.__slots__)
 def test_gq22_report_fails_when_any_one_field_is_off(field):
     report = gq22_structure_check()
-    value = getattr(report, field)
-    wrong = (*value, 0) if isinstance(value, tuple) else value + 1
-    assert not replace(report, **{field: wrong}).passed
+    values = {name: getattr(report, name) for name in GQReport.__slots__}
+    value = values[field]
+    values[field] = (*value, 0) if isinstance(value, tuple) else value + 1
+    assert not GQReport(**values).passed
