@@ -27,15 +27,15 @@ class CapacityError(QPolarError):
 # shared 2-vCPU VM).  The name decides the error: the qubit count cap raises
 # DimensionMismatch, every other cap CapacityError.  Derived caps are not
 # stored: params() takes the qubit count cap; verify takes the generator
-# enumeration cap, as it enumerates generators (verify 4: about 0.02 s, about
-# 0.19 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
+# enumeration cap, as it enumerates generators (verify 4: about 0.01 s, about
+# 0.15 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
 # degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
-    # enumerate_generators(4): about 0.013 s for 2,295 subspaces; N=5 would take
-    # about 1.0 s for 75,735 (measured with this entry raised to 5).  generators 4
-    # --format json: 0.02-0.035 s in-process (median of 21, five runs), about half
-    # of it the enumeration and most of the rest rendering the 34,425 words
+    # enumerate_generators(4): about 0.005 s for 2,295 subspaces; N=5 would take
+    # 0.18-0.24 s for 75,735 (seven runs, with this entry raised to 5).  generators
+    # 4 --format json: 0.017-0.028 s in-process (median of 21, five runs), about a
+    # fifth of it the enumeration and most of the rest rendering the 34,425 words
     "generator enumeration": 4,
     # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
     # runs), nearly all of it the cover search, as search results are built

@@ -55,10 +55,12 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     sizes = set()
     for g in gens:
         commutant = points  # the points perpendicular to every row: g itself when g is maximal isotropic
+        rows = 0  # g's rows as points
         for key in g.keys:
             commutant &= perps[key - 1]
+            rows |= 1 << (key - 1)
         covered |= commutant
-        sizes.add(commutant.bit_count() if all(commutant >> (key - 1) & 1 for key in g.keys) else -1)
+        sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
     size_actual = sizes.pop() if len(sizes) == 1 else -1
     checks.append(Check("eq1_point_count", p.point_count, covered.bit_count()))
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))

@@ -106,14 +106,37 @@ def test_generator_order_matches_reference_dfs():
         assert [g.basis for g in enumerate_generators(n)] == _reference_generator_bases(n)
 
 
+def _gaussian_binomial(n, a):
+    """[n a]_2: the number of a-dimensional subspaces of GF(2)^n."""
+    top = bottom = 1
+    for i in range(a):
+        top *= (1 << (n - i)) - 1
+        bottom *= (1 << (i + 1)) - 1
+    return top // bottom
+
+
+def _x_projection_census(gens, n):
+    """How many generators have a rows with a nonzero x half, for a = 0 .. n, read from the keys."""
+    census = [0] * (n + 1)
+    for g in gens:
+        census[sum(key >> n != 0 for key in g.keys)] += 1
+    return census
+
+
+def _graph_counts(n):
+    """Generators with an a-dimensional x-projection: [n a]_2 subspaces times 2^(a(a+1)/2) symmetric forms."""
+    return [_gaussian_binomial(n, a) << (a * (a + 1) // 2) for a in range(n + 1)]
+
+
 def test_generators_are_valid_and_distinct():
     for n in (1, 2, 3, 4):
         gens = enumerate_generators(n)
         assert len(gens) == params(n).generator_count
+        assert _x_projection_census(gens, n) == _graph_counts(n)
         assert len({g.sort_key() for g in gens}) == len(gens)
         assert [g.sort_key() for g in gens] == sorted(g.sort_key() for g in gens)
         for g in gens:
-            # the DFS builds each leaf unchecked; the checking constructor must agree
+            # enumerate_generators wraps each basis unchecked; the checking constructor must agree
             rebuilt = Subspace(n, g.basis)
             assert rebuilt == g and hash(rebuilt) == hash(g)
             assert g.rank == n
@@ -124,11 +147,18 @@ def test_generators_are_valid_and_distinct():
             assert g.basis[-1].key == min(keys)
 
 
+def test_graph_counts_sum_to_generator_count():
+    assert _graph_counts(4) == [1, 30, 280, 960, 1024]
+    for n in range(1, 13):
+        assert sum(_graph_counts(n)) == params(n).generator_count
+
+
 def test_generator_count_at_n5_by_enumeration(monkeypatch):
     # eq2 recounted one step past the default cap: 3 * 5 * 9 * 17 * 33 subspaces
     monkeypatch.setitem(CAPS, "generator enumeration", 5)
     gens = enumerate_generators(5)
     assert len(gens) == params(5).generator_count == 75735
+    assert _x_projection_census(gens, 5) == _graph_counts(5)
     assert len(set(gens)) == len(gens)
     keys = [g.sort_key() for g in gens]
     assert all(a < b for a, b in zip(keys, keys[1:]))
