@@ -15,9 +15,10 @@ Exit codes: 0 = success / commute, 1 = a check failed / anticommute,
 JSON output always uses the envelope {"n": ..., "kind": ..., "data": [...]}
 with sorted keys and two-space indentation, so parse-and-reserialize is
 byte-identical.  canonical_json is json.dumps(sort_keys=True, indent=2)
-byte for byte, as a property test checks, but joins lists of strings
-through the stdlib's C string encoder.  The MCS blocks of one
-generators or spread command are rendered through one word table.
+byte for byte, as a property test checks, but emits a list of strings
+that need no escaping as one C join, and other lists of strings through
+the stdlib's C string encoder.  The MCS blocks of one generators or
+spread command are rendered column by column through one word table.
 """
 
 from __future__ import annotations
@@ -46,16 +47,23 @@ def _encode(obj, indent: str) -> str:
     """canonical_json of obj nested at ``indent``.
 
     With an indent the stdlib encodes in pure Python, so a list of
-    strings is joined here through its C string encoder instead, which
-    raises TypeError on any other item.
+    strings is joined here in C instead; "".join raises TypeError on any
+    other item.  JSON escapes character by character, so when the joined
+    text encodes to itself no item needs escaping and each is its own
+    encoding in quotes; otherwise each item goes through the C encoder.
     """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)) and obj:
         try:
-            body = sep.join(map(encode_basestring_ascii, obj))
+            plain = "".join(obj)
         except TypeError:
             body = sep.join([_encode(item, inner) for item in obj])
+        else:
+            if encode_basestring_ascii(plain)[1:-1] == plain:
+                body = '"' + ('"' + sep + '"').join(obj) + '"'
+            else:
+                body = sep.join(map(encode_basestring_ascii, obj))
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])

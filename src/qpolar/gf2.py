@@ -167,8 +167,8 @@ class Subspace(_Value):
     def _from_keys(cls, n: int, keys: tuple[int, ...]) -> "Subspace":
         """The subspace of keys already in reduced form, by descending leading bit; unchecked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "keys", keys)
+        _set_n(s, n)
+        _set_keys(s, keys)
         return s
 
     @property
@@ -188,6 +188,11 @@ class Subspace(_Value):
         """Canonical comparison key: rows ordered pivot-major, then by packed value."""
         width = 2 * self.n
         return tuple((width - key.bit_length(), key) for key in self.keys)
+
+
+# the slots' member descriptors, bound once: _from_keys sets through them
+# without object.__setattr__ looking each slot up through the type
+_set_n, _set_keys = Subspace.n.__set__, Subspace.keys.__set__
 
 
 def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Subspace:

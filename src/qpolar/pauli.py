@@ -265,15 +265,30 @@ def mcs_of_generator(g: Subspace) -> list[str]:
 
 
 def _mcs_words(blocks, n: int) -> list[list[str]]:
-    """sorted(mcs_of_generator(g)) for each generator g over n qubits, from one word table.
+    """sorted(mcs_of_generator(g)) for each generator g in the sequence blocks, over n qubits.
 
-    The table holds all 4^N words, so this serves the N the CLI prints,
-    not the qubit cap.  The blocks come from the package's own enumerators,
-    so none is re-checked here; tests/test_geometry.py rebuilds them through
-    the checking constructors: every generator at N <= 4
+    Words come from one table of all 4^N words, so this serves the N the
+    CLI prints, not the qubit cap.  Blocks are rendered a chunk at a time
+    and column by column: row i of every block in the chunk is one column,
+    the 2^n span columns grow by list-doubling as in ``_span_keys``, and
+    each nonzero column is looked up in the table.  Every block must have
+    rank n, as zip would silently truncate a shorter one.  A chunk holds
+    64 blocks, so a column's item array is at most 512 bytes, pymalloc's
+    small-object limit: wider columns leave freed malloc heap resident.
+    The blocks come from the package's own enumerators, so none is
+    re-checked here; tests/test_geometry.py rebuilds them through the
+    checking constructors: every generator at N <= 4
     (test_generators_are_valid_and_distinct), every spread search result at
     N <= 3 (test_enumerate_spreads_n2_full, test_enumerate_spreads_n3_all)
     and every constructed spread (test_desarguesian_spread).
     """
     table = _keys_to_words(range(1 << 2 * n), n)
-    return [sorted([table[k] for k in _span_keys(g)]) for g in blocks]
+    out: list[list[str]] = []
+    for start in range(0, len(blocks), 64):
+        chunk = blocks[start:start + 64]
+        spans = [[0] * len(chunk)]
+        for rows in zip(*[g.keys for g in chunk]):
+            spans += [[k ^ r for k, r in zip(span, rows)] for span in spans]
+        del spans[0]  # the zero vector
+        out += map(sorted, zip(*[[table[k] for k in span] for span in spans]))
+    return out

@@ -197,6 +197,27 @@ def test_spread_json_round_trip(capsys):
     assert canonical_json(doc) + "\n" == out
 
 
+# lists of strings take one of two paths in canonical_json: joined whole when
+# no item needs escaping, item by item otherwise; a non-str item falls back
+# to encoding each item on its own
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["IX", "XI"],
+        ["", ""],
+        ["IX", 'a"b'],
+        ["\u00e9"],
+        ["\x00"],
+        ("IX", "ZZ"),
+        ["IX", 1],
+        [["IX"], ["a\\b", "Y"]],
+    ],
+    ids=["plain", "empty-strings", "one-escaped", "non-ascii", "control", "tuple", "str-then-int", "nested"],
+)
+def test_canonical_json_string_lists_match_json_dumps(payload):
+    assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
 def test_spread_usage_errors(capsys):
     assert run(capsys, "spread", "2", "--all")[0] == 2  # --all needs search
     assert run(capsys, "spread", "2", "--method", "search", "--all", "--limit", "2")[0] == 2
@@ -362,8 +383,11 @@ def test_closed_stdout_exits_141_without_a_traceback():
 # digests at 2a1a7ee, before the spread search moved onto bitmasks; the
 # text generators 1..4 and spread 3 search --limit 1000 digests at 3acef06,
 # before MCS blocks were rendered through one word table per command and
-# canonical_json stopped calling json.dumps with an indent): a change of
-# internal representation must leave every byte of output alone.
+# canonical_json stopped calling json.dumps with an indent; the two spread
+# search --all --format json digests at be611c7, before MCS blocks were
+# rendered column by column and lists of strings needing no escape were
+# joined whole): a change of internal representation must leave every byte
+# of output alone.
 OUTPUT_GOLDENS = [
     ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
     ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
@@ -397,6 +421,16 @@ OUTPUT_GOLDENS = [
         "spread 3 --method search --limit 1000 --format json",
         0,
         "8a7006a08071f21fcdfc49a27d679980f3c93a8e4e6fc8d71d3dc218f2e085d5",
+    ),
+    (
+        "spread 3 --method search --all --format json",
+        0,
+        "8a7006a08071f21fcdfc49a27d679980f3c93a8e4e6fc8d71d3dc218f2e085d5",
+    ),
+    (
+        "spread 2 --method search --all --format json",
+        0,
+        "479e8b50cf160b3fc0c8504a85b26f0f936107225c7c50ee741e070332e5901c",
     ),
     ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
     ("graph 3", 0, "920ebc357583451518ca10f88bbbb8a9edf655eb589423b49a03e5f1c9cfa1b6"),

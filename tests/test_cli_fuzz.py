@@ -83,5 +83,6 @@ PAYLOADS = st.recursive(
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(PAYLOADS)
 @hypothesis.example({"data": [[], {}, ("IX", "XI")], "kind": "generators", "n": 2})
+@hypothesis.example(["IX", 1])
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)

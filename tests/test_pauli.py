@@ -469,6 +469,16 @@ def test_batch_renderer_matches_mcs_of_generator():
     assert _mcs_words([], 3) == []
 
 
+# the renderer works in chunks of 64 blocks: one block, one short of a chunk,
+# one chunk, one past it, two chunks, one past them, and every N=4 generator
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 129, 2295])
+def test_batch_renderer_across_chunk_boundaries(k):
+    blocks = enumerate_generators(4)[:k]
+    expected = [sorted(mcs_of_generator(g)) for g in blocks]
+    assert _mcs_words(blocks, 4) == expected
+    assert _mcs_words(tuple(blocks), 4) == expected
+
+
 def test_mcs_words_are_ordered_by_point():
     blocks = [g for n in (1, 2, 3, 4) for g in enumerate_generators(n)]
     for g in blocks + list(desarguesian_spread(5).blocks):
