@@ -16,9 +16,11 @@ JSON output always uses the envelope {"n": ..., "kind": ..., "data": [...]}
 with sorted keys and two-space indentation, so parse-and-reserialize is
 byte-identical.  canonical_json is json.dumps(sort_keys=True, indent=2)
 byte for byte, as a property test checks, but emits a list of strings
-that need no escaping as one C join, and other lists of strings through
-the stdlib's C string encoder.  The MCS blocks of one generators or
-spread command are rendered column by column through one word table.
+that need no escaping as one C join, a list of such non-empty string
+lists as one nested C join, and other lists of strings through the
+stdlib's C string encoder.  The MCS blocks of one generators or spread
+command are rendered column by column through one word table, and their
+text format is written by one print.
 """
 
 from __future__ import annotations
@@ -46,11 +48,14 @@ def canonical_json(payload) -> str:
 def _encode(obj, indent: str) -> str:
     """canonical_json of obj nested at ``indent``.
 
-    With an indent the stdlib encodes in pure Python, so a list of
-    strings is joined here in C instead; "".join raises TypeError on any
-    other item.  JSON escapes character by character, so when the joined
-    text encodes to itself no item needs escaping and each is its own
-    encoding in quotes; otherwise each item goes through the C encoder.
+    With an indent the stdlib encodes in pure Python, so lists of strings
+    are joined here in C instead.  A list of strings is one join; "".join
+    raises TypeError on any other item.  A list whose items are all
+    non-empty lists or tuples of strings is one nested join: the type
+    check comes first, as "".join also accepts a str or a dict, and an
+    empty item would come out as [""] instead of [].  Either join is used
+    only when its text needs no escaping.  Otherwise a flat list's items
+    go through the C encoder, and any other list is encoded item by item.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -58,18 +63,47 @@ def _encode(obj, indent: str) -> str:
         try:
             plain = "".join(obj)
         except TypeError:
-            body = sep.join([_encode(item, inner) for item in obj])
-        else:
-            if encode_basestring_ascii(plain)[1:-1] == plain:
-                body = '"' + ('"' + sep + '"').join(obj) + '"'
-            else:
-                body = sep.join(map(encode_basestring_ascii, obj))
+            return _encode_items(obj, indent)
+        if _needs_no_escape(plain):
+            quoted = ('"' + sep + '"').join(obj)
+            return f'[\n{inner}"{quoted}"\n{indent}]'
+        body = sep.join(map(encode_basestring_ascii, obj))
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])
-        return f"{{\n{inner}{body}\n{indent}}}"
+        # one join of every piece, so a long value is copied once, not once per level
+        parts = ["{"]
+        for k, v in sorted(obj.items()):
+            parts += (sep, encode_basestring_ascii(k), ": ", _encode(v, inner))
+        parts[1] = "\n" + inner  # no comma before the first member
+        parts += ("\n", indent, "}")
+        return "".join(parts)
     # scalars, empty containers, and dicts with keys that json itself converts
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _encode_items(obj, indent: str) -> str:
+    """_encode of a non-empty list or tuple holding a non-str: one nested join if it can, else item by item."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    # C-level checks: every item is exactly a list or tuple, and none is empty
+    if {*map(type, obj)} <= {list, tuple} and all(obj):
+        try:
+            plain = "".join(map("".join, obj))
+        except TypeError:
+            pass
+        else:
+            if _needs_no_escape(plain):
+                inner2 = inner + "  "
+                head, mid, tail = "[\n" + inner2 + '"', '",\n' + inner2 + '"', '"\n' + inner + "]"
+                body = (tail + sep + head).join(map(mid.join, obj))
+                return f"[\n{inner}{head}{body}{tail}\n{indent}]"
+    body = sep.join([_encode(item, inner) for item in obj])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _needs_no_escape(text: str) -> bool:
+    """True if no character of text needs escaping, so every slice of it is its own JSON encoding in quotes."""
+    return encode_basestring_ascii(text)[1:-1] == text
 
 
 def _emit_json(n_qubits: int, kind: str, data) -> None:
@@ -95,8 +129,7 @@ def cmd_generators(args) -> int:
     if args.format == "json":
         _emit_json(args.n_qubits, "generators", blocks)
     else:
-        for block in blocks:
-            print(",".join(block))
+        print("\n".join(map(",".join, blocks)))
     return 0
 
 
@@ -118,11 +151,7 @@ def cmd_spread(args) -> int:
     if args.format == "json":
         _emit_json(n, "spreads", rendered)
     else:
-        for i, spread in enumerate(rendered):
-            if i:
-                print()
-            for block in spread:
-                print(",".join(block))
+        print("\n\n".join(["\n".join(map(",".join, spread)) for spread in rendered]))
     return 0
 
 

@@ -34,8 +34,8 @@ CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.005 s for 2,295 subspaces; N=5 would take
     # 0.18-0.24 s for 75,735 (seven runs, with this entry raised to 5).  generators
-    # 4 --format json: 0.011-0.013 s in-process (median of 21, five runs): about a
-    # quarter the enumeration, a third rendering the 34,425 words, a quarter JSON
+    # 4 --format json: 0.0095-0.0102 s in-process (median of 21, five runs): about
+    # 30 % the enumeration, 40 % rendering the 34,425 words, under a fifth JSON
     "generator enumeration": 4,
     # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
     # runs), nearly all of it the cover search, as search results are built

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as _product
+from operator import xor
 
 from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
 from .geometry import is_maximal_isotropic
@@ -271,8 +272,8 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     CLI prints, not the qubit cap.  Blocks are rendered a chunk at a time
     and column by column: row i of every block in the chunk is one column,
     the 2^n span columns grow by list-doubling as in ``_span_keys``, and
-    each nonzero column is looked up in the table.  Every block must have
-    rank n, as zip would silently truncate a shorter one.  A chunk holds
+    each nonzero column is looked up in the table, both by C-level maps.
+    Every block must have rank n, or zip would truncate it.  A chunk holds
     64 blocks, so a column's item array is at most 512 bytes, pymalloc's
     small-object limit: wider columns leave freed malloc heap resident.
     The blocks come from the package's own enumerators, so none is
@@ -288,7 +289,7 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
         chunk = blocks[start:start + 64]
         spans = [[0] * len(chunk)]
         for rows in zip(*[g.keys for g in chunk]):
-            spans += [[k ^ r for k, r in zip(span, rows)] for span in spans]
+            spans += [list(map(xor, span, rows)) for span in spans]
         del spans[0]  # the zero vector
-        out += map(sorted, zip(*[[table[k] for k in span] for span in spans]))
+        out += map(sorted, zip(*[map(table.__getitem__, span) for span in spans]))
     return out

@@ -199,7 +199,9 @@ def test_spread_json_round_trip(capsys):
 
 # lists of strings take one of two paths in canonical_json: joined whole when
 # no item needs escaping, item by item otherwise; a non-str item falls back
-# to encoding each item on its own
+# to encoding each item on its own.  A list of non-empty string lists or
+# tuples is one nested join when no string needs escaping; a str, dict or
+# empty item, an item holding a non-str, or a deeper list falls back
 @pytest.mark.parametrize(
     "payload",
     [
@@ -211,8 +213,35 @@ def test_spread_json_round_trip(capsys):
         ("IX", "ZZ"),
         ["IX", 1],
         [["IX"], ["a\\b", "Y"]],
+        [["IX", "XI"], ["ZZ"]],
+        [("IX",), ("ZZ", "XY")],
+        [["IX"], []],
+        [["IX"], "XI"],
+        [["IX"], {"a": 1}],
+        [['a"b'], ["Y"]],
+        [["\u00e9"]],
+        [["IX", 1]],
+        [[["IX"]], [["ZZ"]]],
     ],
-    ids=["plain", "empty-strings", "one-escaped", "non-ascii", "control", "tuple", "str-then-int", "nested"],
+    ids=[
+        "plain",
+        "empty-strings",
+        "one-escaped",
+        "non-ascii",
+        "control",
+        "tuple",
+        "str-then-int",
+        "nested",
+        "nested-plain",
+        "nested-tuples",
+        "nested-empty-item",
+        "nested-str-item",
+        "nested-dict-item",
+        "nested-escaped",
+        "nested-non-ascii",
+        "nested-int",
+        "three-deep",
+    ],
 )
 def test_canonical_json_string_lists_match_json_dumps(payload):
     assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -66,13 +66,15 @@ def test_generated_argv_exits_cleanly(argv):
 
 # JSON payloads: non-ASCII and control-character strings, ints, bools, None,
 # and empty containers, in nested lists, tuples and dicts with str keys (or
-# int keys, which json converts to strings)
+# int keys, which json converts to strings), and lists of non-empty string
+# lists, the shape of the generators output
 TEXT = st.text(max_size=6) | st.sampled_from(["", "\x00\t\n\"\\", "\u00e9\u2028\U0001d54f"])
 SCALARS = st.none() | st.booleans() | st.integers() | TEXT
 PAYLOADS = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(TEXT, max_size=4)
+    | st.lists(st.lists(TEXT, min_size=1, max_size=4), min_size=1, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(TEXT, inner, max_size=4)
     | st.dictionaries(st.integers(), inner, max_size=3),
@@ -84,5 +86,8 @@ PAYLOADS = st.recursive(
 @hypothesis.given(PAYLOADS)
 @hypothesis.example({"data": [[], {}, ("IX", "XI")], "kind": "generators", "n": 2})
 @hypothesis.example(["IX", 1])
+# a list of string lists with an empty item or a str item: not one nested join
+@hypothesis.example([["IX"], []])
+@hypothesis.example([["IX"], "XI"])
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
