@@ -9,18 +9,19 @@ Subcommands:
   commute P Q [--oracle]       test two Pauli words
 
 Exit codes: 0 = success / commute, 1 = a check failed / anticommute,
-2 = usage error, 141 = stdout closed early, as by ``| head -1``
-(128 + SIGPIPE, what a shell reports for cat; nothing on stderr).
+2 = usage error or a failed write to stdout (one ``error:`` line on
+stderr), 141 = stdout closed early, as by ``| head -1`` (128 + SIGPIPE,
+what a shell reports for cat; nothing on stderr).
 
 JSON output always uses the envelope {"n": ..., "kind": ..., "data": [...]}
 with sorted keys and two-space indentation, so parse-and-reserialize is
 byte-identical.  canonical_json is json.dumps(sort_keys=True, indent=2)
 byte for byte, as a property test checks, but emits a list of strings
 that need no escaping as one C join, a list of such non-empty string
-lists as one nested C join, and other lists of strings through the
-stdlib's C string encoder.  The MCS blocks of one generators or spread
-command are rendered column by column through one word table, and their
-text format is written by one print.
+lists as one nested C join, and any other list item by item.  The MCS
+blocks of one generators or spread command are rendered column by
+column through one word table, and their text format is written by one
+print.
 """
 
 from __future__ import annotations
@@ -49,26 +50,32 @@ def _encode(obj, indent: str) -> str:
     """canonical_json of obj nested at ``indent``.
 
     With an indent the stdlib encodes in pure Python, so lists of strings
-    are joined here in C instead.  A list of strings is one join; "".join
-    raises TypeError on any other item.  A list whose items are all
-    non-empty lists or tuples of strings is one nested join: the type
+    are joined here in C instead.  A list of strings is one join, as
+    "".join raises TypeError on any other item.  A list whose items are
+    all non-empty lists or tuples of strings is one nested join: the type
     check comes first, as "".join also accepts a str or a dict, and an
-    empty item would come out as [""] instead of [].  Either join is used
-    only when its text needs no escaping.  Otherwise a flat list's items
-    go through the C encoder, and any other list is encoded item by item.
+    empty item would come out as [""] instead of [].  A join is used only
+    when its text needs no escaping; any other list is encoded item by item.
     """
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)) and obj:
+        nested = {*map(type, obj)} <= {list, tuple} and all(obj)
         try:
-            plain = "".join(obj)
+            plain = "".join(map("".join, obj) if nested else obj)
+            joinable = encode_basestring_ascii(plain)[1:-1] == plain  # JSON escapes char by char
         except TypeError:
-            return _encode_items(obj, indent)
-        if _needs_no_escape(plain):
-            quoted = ('"' + sep + '"').join(obj)
-            return f'[\n{inner}"{quoted}"\n{indent}]'
-        body = sep.join(map(encode_basestring_ascii, obj))
-        return f"[\n{inner}{body}\n{indent}]"
+            joinable = False
+        if not joinable:
+            body = sep.join([_encode(item, inner) for item in obj])
+            return f"[\n{inner}{body}\n{indent}]"
+        head = tail = '"'
+        if nested:
+            inner2 = inner + "  "
+            head, tail = "[\n" + inner2 + '"', '"\n' + inner + "]"
+            obj = map(('",\n' + inner2 + '"').join, obj)
+        body = (tail + sep + head).join(obj)
+        return f"[\n{inner}{head}{body}{tail}\n{indent}]"
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         # one join of every piece, so a long value is copied once, not once per level
         parts = ["{"]
@@ -79,31 +86,6 @@ def _encode(obj, indent: str) -> str:
         return "".join(parts)
     # scalars, empty containers, and dicts with keys that json itself converts
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
-
-
-def _encode_items(obj, indent: str) -> str:
-    """_encode of a non-empty list or tuple holding a non-str: one nested join if it can, else item by item."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    # C-level checks: every item is exactly a list or tuple, and none is empty
-    if {*map(type, obj)} <= {list, tuple} and all(obj):
-        try:
-            plain = "".join(map("".join, obj))
-        except TypeError:
-            pass
-        else:
-            if _needs_no_escape(plain):
-                inner2 = inner + "  "
-                head, mid, tail = "[\n" + inner2 + '"', '",\n' + inner2 + '"', '"\n' + inner + "]"
-                body = (tail + sep + head).join(map(mid.join, obj))
-                return f"[\n{inner}{head}{body}{tail}\n{indent}]"
-    body = sep.join([_encode(item, inner) for item in obj])
-    return f"[\n{inner}{body}\n{indent}]"
-
-
-def _needs_no_escape(text: str) -> bool:
-    """True if no character of text needs escaping, so every slice of it is its own JSON encoding in quotes."""
-    return encode_basestring_ascii(text)[1:-1] == text
 
 
 def _emit_json(n_qubits: int, kind: str, data) -> None:
@@ -255,13 +237,19 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     try:
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError("stdout is closed")
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: send what is still buffered to devnull, so the
-        # interpreter's final flush cannot fail and print a second error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+    except OSError as exc:
+        # send what is still buffered to devnull, so the interpreter's final
+        # flush cannot fail and print a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if isinstance(exc, BrokenPipeError):
+            code = 141  # the reader has gone: nothing to report
+        else:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 2
     sys.exit(code)
 
 

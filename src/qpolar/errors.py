@@ -47,7 +47,9 @@ CAPS = {
 
 
 def check_cap(what: str, n: int, detail: str = "") -> None:
-    """Raise DimensionMismatch unless n >= 1; above ``CAPS[what]``, the error the cap's name decides."""
+    """Raise DimensionMismatch unless n is an int >= 1; above ``CAPS[what]``, the error the cap's name decides."""
+    if not isinstance(n, int):
+        raise DimensionMismatch(f"n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")
     cap = CAPS[what]

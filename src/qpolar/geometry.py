@@ -318,6 +318,8 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """
     n = n_qubits
     check_cap("spread search", n)
+    if limit is not None and not isinstance(limit, int):
+        raise DomainError(f"limit must be an integer, got {limit!r}")
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")
 

@@ -50,6 +50,8 @@ class SymplecticVector(_Value):
 
     def __init__(self, n: int, x: int, z: int) -> None:
         check_cap("qubit count", n)
+        if not (isinstance(x, int) and isinstance(z, int)):
+            raise DomainError(f"x/z parts must be integers, got {x!r} and {z!r}")
         if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
             raise DomainError(f"x/z parts must be {n}-bit values")
         object.__setattr__(self, "n", n)

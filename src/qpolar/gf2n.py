@@ -34,7 +34,7 @@ MODULI = {
 
 
 def _check_degree(n: int) -> None:
-    if n not in MODULI:
+    if not isinstance(n, int) or n not in MODULI:  # 2.0 would match the key 2
         raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
 
 
@@ -45,6 +45,8 @@ class FieldElement(_Value):
 
     def __init__(self, n: int, bits: int) -> None:
         _check_degree(n)
+        if not isinstance(bits, int):
+            raise DomainError(f"bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << n):
             raise DomainError(f"coefficients must fit in {n} bits")
         object.__setattr__(self, "n", n)

@@ -389,20 +389,65 @@ def test_import_loads_no_heavy_stdlib_module_and_not_the_cli():
     assert added.isdisjoint({"dataclasses", "inspect", "typing", "argparse", "json", "qpolar.cli"})
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    # about 172 KB, more than a pipe buffer holds: the write after the close fails
+def _env_with_src():
     src = str(Path(qpolar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# each output is more than a pipe buffer holds, so a write after the close fails
+@pytest.mark.parametrize("argv,first_line", [
+    ("generators 4", b"IIIX,IIXI,IIXX,IXII,IXIX,IXXI,IXXX,XIII,XIIX,XIXI,XIXX,XXII,XXIX,XXXI,XXXX\n"),
+    ("spread 3 --method search --all", b"IIZ,IXI,IXZ,XII,XIZ,XXI,XXZ\n"),
+], ids=["generators", "spread-search-all"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qpolar", "generators", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [sys.executable, "-m", "qpolar", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
-    assert first == b"IIIX,IIXI,IIXX,IXII,IXIX,IXXI,IXXX,XIII,XIIX,XIXI,XIXX,XXII,XXIX,XXXI,XXXX\n"
+    assert first == first_line
+
+
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+# a write that fails other than by a closed pipe is an error of the run, not a failed check
+@pytest.mark.parametrize("command", [
+    pytest.param("verify 1 > /dev/full", marks=NO_DEV_FULL),
+    pytest.param("generators 4 > /dev/full", marks=NO_DEV_FULL),
+    "verify 1 >&-",
+    "verify x >&-",
+])
+def test_failed_write_exits_2_with_one_error_line(command):
+    done = subprocess.run(
+        ["sh", "-c", f'"$0" -m qpolar {command}', sys.executable],
+        capture_output=True, text=True, env=_env_with_src(), timeout=60,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed():
+    # no output may depend on set or dict iteration order
+    code = (
+        "from qpolar.cli import main\n"
+        "for argv in ('generators 3', 'verify 3 --format json',\n"
+        "             'spread 3 --method search --limit 5 --format json', 'graph 2 --format json'):\n"
+        "    main(argv.split())\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, env=dict(_env_with_src(), PYTHONHASHSEED=seed), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b'"kind"') == 3
 
 
 # sha256 of stdout and the exit code of each invocation, captured at commit

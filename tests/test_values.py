@@ -7,6 +7,8 @@ import pytest
 
 from qpolar import (
     Check,
+    DimensionMismatch,
+    DomainError,
     ExactMatrix,
     FieldElement,
     GQReport,
@@ -17,9 +19,11 @@ from qpolar import (
     VerificationReport,
     desarguesian_spread,
     enumerate_generators,
+    enumerate_spreads,
     gq22_structure_check,
     params,
     pauli_matrix,
+    rref,
     run_verification,
 )
 
@@ -84,3 +88,16 @@ def test_record_constructor_takes_exactly_its_fields(cls):
         cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, **{names[0]: values[0]})
+
+
+# a count that range() would refuse is a DimensionMismatch, any other non-integer a DomainError
+@pytest.mark.parametrize("build,error", [
+    (lambda: rref([], 2.0), DimensionMismatch),
+    (lambda: Subspace(2.0, []), DimensionMismatch),
+    (lambda: SymplecticVector(2, 1.0, 0), DomainError),
+    (lambda: FieldElement(2, 1.0), DomainError),
+    (lambda: enumerate_spreads(2, limit=2.5), DomainError),
+], ids=["rref n", "subspace n", "vector x", "field bits", "spread limit"])
+def test_validating_constructors_reject_non_integers(build, error):
+    with pytest.raises(error, match="must be (an )?integers?, got"):
+        build()
