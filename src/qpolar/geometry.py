@@ -36,16 +36,14 @@ coordinates via the trace-dual basis, each spanned by N rows over that
 basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5.
 
 Exhaustive spread search is exact cover of the points by the generators,
-run as Algorithm X on bitmasks: each generator's point mask is a row,
-and a node holds two ints, the uncovered points and the generators still
-disjoint from every chosen one.  Precomputed per call are the generators
-through each point and the generators meeting each generator, so a
-child's state is two big-int ANDs.  A node covers the lowest uncovered
-point, trying the generators through it in index order.  A chosen block
-then has that point as its smallest, so spreads come out in canonical
-order as they are found, and a limit of k returns the first k.  The
-search runs up to the spread search cap, N = 3, where it finds all 960
-spreads.
+run as Algorithm X on bitmasks: each generator is a row listing its
+points, key k as column k - 1, and a node holds two ints, the uncovered
+points and the generators still disjoint from every chosen one.
+Precomputed per call are the generators through each point and the
+generators meeting each generator, so a child's state is two big-int
+ANDs.  Spreads come out in canonical order as they are found, so a
+limit of k returns the first k.  The search runs up to the spread
+search cap, N = 3, where it finds all 960 spreads.
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -55,14 +53,17 @@ reports them without claiming an independent recount.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from . import gf2n
-from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, _Value, check_cap
+from .errors import CAPS, CapacityError, DomainError, _Value, check_cap
 from .gf2 import (
     Subspace,
     SymplecticVector,
     _perp_mask,
     _reduce,
-    _span_mask,
+    _span_keys,
     is_totally_isotropic,
     rref,
     span_points,
@@ -223,11 +224,10 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     and rref is canonical.
     """
     n = n_qubits
-    if n < 1:
-        raise DimensionMismatch(f"n_qubits must be positive, got {n}")
     cap = max(gf2n.MODULI)  # the field plane exists where a modulus is pinned
-    if n > cap:
+    if isinstance(n, int) and n > cap:
         raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
+    check_cap("qubit count", n)
 
     dual = gf2n.dual_basis(gf2n.polynomial_basis(n))
     units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
@@ -243,8 +243,8 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     return Spread(n, tuple(blocks))
 
 
-def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple[int, ...]]:
-    """Every exact cover of columns 0 .. n_cols - 1 by the row masks, up to limit.
+def _exact_covers(rows: list[list[int]], n_cols: int, limit: int | None) -> list[tuple[int, ...]]:
+    """Every exact cover of columns 0 .. n_cols - 1 by the rows, each the list of its columns, up to limit.
 
     Algorithm X on bitmasks (Knuth, "Dancing Links"): a node holds the
     uncovered columns and the live rows, those meeting no chosen row.  It
@@ -256,19 +256,12 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
     the first k.
     """
     through = [0] * n_cols  # the rows through each column, bit r for row r
-    for r, row in enumerate(rows):
-        while row:
-            low = row & -row
-            row ^= low
-            through[low.bit_length() - 1] |= 1 << r
-    meets = []  # the rows sharing a column with each row, itself included
-    for row in rows:
-        hit = 0
-        while row:
-            low = row & -row
-            row ^= low
-            hit |= through[low.bit_length() - 1]
-        meets.append(hit)
+    for r, cols in enumerate(rows):
+        for c in cols:
+            through[c] |= 1 << r
+    masks = [sum(1 << c for c in cols) for cols in rows]  # a row's columns are distinct, so sum is OR
+    # the rows sharing a column with each row, itself included
+    meets = [reduce(or_, map(through.__getitem__, cols)) for cols in rows]
 
     covers: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -284,7 +277,7 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
             best ^= low
             r = low.bit_length() - 1
             chosen.append(r)
-            keep_going = search(uncovered & ~rows[r], alive & ~meets[r])
+            keep_going = search(uncovered & ~masks[r], alive & ~meets[r])
             chosen.pop()
             if not keep_going:
                 return False
@@ -297,13 +290,12 @@ def _exact_covers(rows: list[int], n_cols: int, limit: int | None) -> list[tuple
 def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """Exhaustive exact-cover search for spreads, in canonical order.
 
-    Deterministic: the columns are the points, the rows are the
-    generators' point masks in canonical generator order, and
-    _exact_covers covers the lowest uncovered point, trying the blocks
-    through it in canonical generator order.  The spread search entry of
-    errors.CAPS caps it with or without a limit; without one it returns
-    every spread.  Exact cover with a fixed branching rule reaches each
-    spread by exactly one path, so no spread is found twice.
+    Deterministic: the columns are the points, key k as column k - 1,
+    and the rows are the generators in canonical generator order, each
+    the list of its points.  The spread search entry of errors.CAPS caps
+    it with or without a limit; without one it returns every spread.
+    Exact cover with a fixed branching rule reaches each spread by
+    exactly one path, so no spread is found twice.
 
     Results come out in canonical order as found, so a limit of k
     returns the first k spreads of the full list.  Every point below the
@@ -324,7 +316,7 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)
-    covers = _exact_covers([_span_mask(g) for g in generators], (1 << (2 * n)) - 1, limit)
+    covers = _exact_covers([[k - 1 for k in _span_keys(g)] for g in generators], (1 << (2 * n)) - 1, limit)
     return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in covers]
 
 
@@ -350,16 +342,15 @@ def gq22_structure_check() -> GQReport:
     of its points.
     """
     points = range(1, 16)  # keys; a set of points is a mask with key k as bit k - 1
-    lines = enumerate_generators(2)
-    line_masks = [_span_mask(line) for line in lines]
+    lines = [_span_keys(line) for line in enumerate_generators(2)]
     perps = [_perp_mask(p, 2) for p in points]
 
-    points_per_line = sorted({m.bit_count() for m in line_masks})
-    lines_per_point = sorted({sum(m >> (p - 1) & 1 for m in line_masks) for p in points})
+    points_per_line = sorted({len(line) for line in lines})
+    lines_per_point = sorted({sum(p in line for line in lines) for p in points})
     collinear = sorted({perp.bit_count() - 1 for perp in perps})
     violations = 0  # lines off p that do not meet p's perpendicular set in one point
     for p, perp in zip(points, perps):
-        violations += sum((m & perp).bit_count() != 1 for m in line_masks if not m >> (p - 1) & 1)
+        violations += sum(sum(perp >> (q - 1) & 1 for q in line) != 1 for line in lines if p not in line)
 
     return GQReport(
         point_count=len(points),

@@ -1,5 +1,7 @@
 """Counting formulas, generator enumeration, spreads, and the GQ(2,2) audit."""
 
+from itertools import combinations
+
 import pytest
 
 from qpolar import (
@@ -27,6 +29,7 @@ from qpolar import (
     trace,
 )
 from qpolar.errors import CAPS
+from qpolar.geometry import _exact_covers
 from qpolar.gf2 import _perp_mask
 
 
@@ -280,8 +283,12 @@ def test_desarguesian_n1_block_order():
 
 
 def test_desarguesian_capacity():
-    with pytest.raises(CapacityError):
-        desarguesian_spread(6)
+    for n in (6, 13):  # past the qubit count cap too, the constructed-spread cap decides
+        with pytest.raises(CapacityError, match=f"^constructed spreads are capped at N<=5; N={n} was requested$"):
+            desarguesian_spread(n)
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch, match=f"^n_qubits must be positive, got {n}$"):
+            desarguesian_spread(n)
 
 
 def test_spread_validation_rejects_bad_block_sets():
@@ -342,6 +349,33 @@ def test_enumerate_spreads_n3_with_and_without_limit():
         enumerate_spreads(4, limit=1)
     with pytest.raises(DomainError):
         enumerate_spreads(2, limit=0)
+
+
+def _brute_force_covers(rows, n_cols):
+    """Every set of rows partitioning the columns, each listed by lowest column, in lexicographic order."""
+    subsets = (chosen for size in range(len(rows) + 1) for chosen in combinations(range(len(rows)), size))
+    return sorted(
+        tuple(sorted(chosen, key=lambda r: min(rows[r])))
+        for chosen in subsets
+        if sorted(c for r in chosen for c in rows[r]) == list(range(n_cols))
+    )
+
+
+@pytest.mark.parametrize("rows,n_cols,count", [
+    # Knuth's "Dancing Links" example, columns A..G, some listed out of order: one cover
+    ([[5, 2, 4], [0, 3, 6], [1, 2, 5], [3, 0], [6, 1], [3, 4, 6]], 7, 1),
+    # every nonempty subset of four columns, high columns first: the 15 set partitions
+    ([[c for c in (3, 2, 1, 0) if s >> c & 1] for s in range(15, 0, -1)], 4, 15),
+    # column 2 is in no row
+    ([[0], [1], [0, 1], [3]], 4, 0),
+    ([[1, 0], [3, 2], [0], [2], [1, 3], [3], [1]], 4, 5),
+], ids=["knuth", "all-subsets", "uncoverable", "mixed"])
+def test_exact_covers_match_brute_force(rows, n_cols, count):
+    everything = _exact_covers(rows, n_cols, None)
+    assert everything == _brute_force_covers(rows, n_cols)
+    assert len(everything) == count
+    for k in range(1, count + 2):  # a limit of k returns the first k
+        assert _exact_covers(rows, n_cols, k) == everything[:k]
 
 
 def _reference_spread_search(n, limit=None):

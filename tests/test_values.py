@@ -97,7 +97,11 @@ def test_record_constructor_takes_exactly_its_fields(cls):
     (lambda: SymplecticVector(2, 1.0, 0), DomainError),
     (lambda: FieldElement(2, 1.0), DomainError),
     (lambda: enumerate_spreads(2, limit=2.5), DomainError),
-], ids=["rref n", "subspace n", "vector x", "field bits", "spread limit"])
+    (lambda: desarguesian_spread("2"), DimensionMismatch),
+    (lambda: desarguesian_spread(2.0), DimensionMismatch),
+    (lambda: desarguesian_spread(None), DimensionMismatch),
+], ids=["rref n", "subspace n", "vector x", "field bits", "spread limit", "field plane str", "field plane float",
+        "field plane none"])
 def test_validating_constructors_reject_non_integers(build, error):
     with pytest.raises(error, match="must be (an )?integers?, got"):
         build()
