@@ -33,7 +33,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import CAPS, DomainError, QPolarError, check_cap
-from .geometry import desarguesian_spread, enumerate_generators, enumerate_spreads
+from .geometry import _generator_bases, desarguesian_spread, enumerate_spreads
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
 from .gf2 import _perp_mask, span_points  # noqa: F401
@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    blocks = _mcs_words(enumerate_generators(args.n_qubits), args.n_qubits)
+    blocks = _mcs_words(_generator_bases(args.n_qubits), args.n_qubits)
     if args.format == "json":
         _emit_json(args.n_qubits, "generators", blocks)
     else:
@@ -128,7 +128,7 @@ def cmd_spread(args) -> int:
     else:
         spreads = enumerate_spreads(n, limit=1 if args.limit is None else args.limit)
     # every spread's blocks go through one word table, then regroup per spread
-    words = iter(_mcs_words([b for s in spreads for b in s.blocks], n))
+    words = iter(_mcs_words([b.keys for s in spreads for b in s.blocks], n))
     rendered = [[next(words) for _ in s.blocks] for s in spreads]
     if args.format == "json":
         _emit_json(n, "spreads", rendered)

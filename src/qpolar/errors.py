@@ -32,10 +32,12 @@ class CapacityError(QPolarError):
 # degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
-    # enumerate_generators(4): about 0.005 s for 2,295 subspaces; N=5 would take
-    # 0.18-0.24 s for 75,735 (seven runs, with this entry raised to 5).  generators
-    # 4 --format json: 0.0095-0.0102 s in-process (median of 21, five runs): about
-    # 30 % the enumeration, 40 % rendering the 34,425 words, under a fifth JSON
+    # enumerate_generators(4): about 0.0055 s for 2,295 subspaces, 0.003 s of it
+    # the key tuples of geometry._generator_bases; N=5 would take 0.18-0.23 s for
+    # 75,735, 0.085 s as key tuples (three runs of seven, with this entry raised to
+    # 5).  generators 4 --format json: 0.012-0.015 s in-process (median of 21, five
+    # runs): about 20 % the key tuples, 35-50 % rendering the 34,425 words, about a
+    # fifth JSON, the rest argument parsing and output
     "generator enumeration": 4,
     # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
     # runs), nearly all of it the cover search, as search results are built
@@ -47,8 +49,8 @@ CAPS = {
 
 
 def check_cap(what: str, n: int, detail: str = "") -> None:
-    """Raise DimensionMismatch unless n is an int >= 1; above ``CAPS[what]``, the error the cap's name decides."""
-    if not isinstance(n, int):
+    """Raise DimensionMismatch unless n is a non-bool int >= 1; above ``CAPS[what]``, the error its name decides."""
+    if n.__class__ is not int and (isinstance(n, bool) or not isinstance(n, int)):  # exact ints skip isinstance
         raise DimensionMismatch(f"n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")

@@ -26,8 +26,11 @@ every pivot set and its free bits, and beta over the span of the
 a(a+1)/2 basis forms, each XORing u's into one or two rows' z halves,
 so no candidate is ever tested.  The bases are sorted into canonical
 order (Subspace.sort_key order) by one int each, their rows' ranks in
-2N-bit fields, before they become Subspaces unchecked; tests rebuild
-every generator through the checking constructor.
+2N-bit fields.  Generators are key tuples inside the package and
+Subspaces at the public edge: _generator_bases returns each basis as
+its RREF row-key tuple, which verify, the generators command and the
+N=2 audit read directly, and enumerate_generators wraps them unchecked;
+tests rebuild every generator through the checking constructor.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -100,6 +103,11 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     is the graph of a symmetric form over its x-projection, built from
     that parametrisation (see the module docstring) without a search.
     """
+    return [Subspace._from_keys(n_qubits, keys) for keys in _generator_bases(n_qubits)]
+
+
+def _generator_bases(n_qubits: int) -> list[tuple[int, ...]]:
+    """enumerate_generators' bases as RREF row-key tuples, in the same canonical order."""
     n = n_qubits
     detail = ""
     if CAPS["generator enumeration"] < n <= CAPS["qubit count"]:
@@ -145,8 +153,7 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
                     col += [key ^ flip for key in col] if flip else col
                 ranks += [r ^ step for r in ranks]
             found.update(zip(ranks, zip(*cols, *([k] * len(ranks) for k in ks))))
-    new = Subspace._from_keys
-    return [new(n, found[r]) for r in sorted(found)]
+    return [found[r] for r in sorted(found)]
 
 
 def is_maximal_isotropic(s: Subspace) -> bool:
@@ -310,13 +317,13 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """
     n = n_qubits
     check_cap("spread search", n)
-    if limit is not None and not isinstance(limit, int):
+    if limit is not None and (not isinstance(limit, int) or limit.__class__ is bool):
         raise DomainError(f"limit must be an integer, got {limit!r}")
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")
 
     generators = enumerate_generators(n)
-    covers = _exact_covers([[k - 1 for k in _span_keys(g)] for g in generators], (1 << (2 * n)) - 1, limit)
+    covers = _exact_covers([[k - 1 for k in _span_keys(g.keys)] for g in generators], (1 << (2 * n)) - 1, limit)
     return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in covers]
 
 
@@ -342,7 +349,7 @@ def gq22_structure_check() -> GQReport:
     of its points.
     """
     points = range(1, 16)  # keys; a set of points is a mask with key k as bit k - 1
-    lines = [_span_keys(line) for line in enumerate_generators(2)]
+    lines = [_span_keys(keys) for keys in _generator_bases(2)]
     perps = [_perp_mask(p, 2) for p in points]
 
     points_per_line = sorted({len(line) for line in lines})

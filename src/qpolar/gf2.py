@@ -31,6 +31,9 @@ oracle's ``pauli.commutation_sweep`` checks pair by pair.  Points become
 A Subspace is its reduced row echelon basis with pivots taken left to
 right across (x | z), stored as the rows' packed keys by descending
 leading bit, so equal subspaces always carry identical key tuples.
+Generators follow one rule: key tuples inside, Subspace at the public
+edge.  The package's own code reads them as these tuples, and
+``_span_keys`` spans a tuple of row keys, not a Subspace.
 ``_reduce``, the package's one GF(2) row reduction, builds that basis in
 ``rref``, decides the checked constructor and ``Subspace.contains``, and
 gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
@@ -50,7 +53,7 @@ class SymplecticVector(_Value):
 
     def __init__(self, n: int, x: int, z: int) -> None:
         check_cap("qubit count", n)
-        if not (isinstance(x, int) and isinstance(z, int)):
+        if not (isinstance(x, int) and isinstance(z, int)) or x.__class__ is bool or z.__class__ is bool:
             raise DomainError(f"x/z parts must be integers, got {x!r} and {z!r}")
         if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
             raise DomainError(f"x/z parts must be {n}-bit values")
@@ -169,8 +172,8 @@ class Subspace(_Value):
     def _from_keys(cls, n: int, keys: tuple[int, ...]) -> "Subspace":
         """The subspace of keys already in reduced form, by descending leading bit; unchecked."""
         s = object.__new__(cls)
-        _set_n(s, n)
-        _set_keys(s, keys)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "keys", keys)
         return s
 
     @property
@@ -190,11 +193,6 @@ class Subspace(_Value):
         """Canonical comparison key: rows ordered pivot-major, then by packed value."""
         width = 2 * self.n
         return tuple((width - key.bit_length(), key) for key in self.keys)
-
-
-# the slots' member descriptors, bound once: _from_keys sets through them
-# without object.__setattr__ looking each slot up through the type
-_set_n, _set_keys = Subspace.n.__set__, Subspace.keys.__set__
 
 
 def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Subspace:
@@ -233,17 +231,17 @@ def _reduce(rows: Iterable[int]) -> list[int]:
     return reduced
 
 
-def _span_keys(s: Subspace) -> list[int]:
-    """Packed keys of the 2^rank - 1 nonzero span vectors (distinct, as rows are independent)."""
+def _span_keys(rows: tuple[int, ...]) -> list[int]:
+    """Packed keys of the 2^len(rows) - 1 nonzero vectors spanned by independent row keys (so distinct)."""
     keys = [0]
-    for row in s.keys:
+    for row in rows:
         keys += [k ^ row for k in keys]
     return keys[1:]
 
 
 def span_points(s: Subspace) -> set[SymplecticVector]:
     """All 2^rank - 1 nonzero vectors in the span of the basis."""
-    return set(_vectors(_span_keys(s), s.n))
+    return set(_vectors(_span_keys(s.keys), s.n))
 
 
 def is_totally_isotropic(s: Subspace) -> bool:

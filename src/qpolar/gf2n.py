@@ -34,7 +34,7 @@ MODULI = {
 
 
 def _check_degree(n: int) -> None:
-    if not isinstance(n, int) or n not in MODULI:  # 2.0 would match the key 2
+    if not isinstance(n, int) or n.__class__ is bool or n not in MODULI:  # 2.0 and True would match a key
         raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
 
 
@@ -45,7 +45,7 @@ class FieldElement(_Value):
 
     def __init__(self, n: int, bits: int) -> None:
         _check_degree(n)
-        if not isinstance(bits, int):
+        if not isinstance(bits, int) or bits.__class__ is bool:
             raise DomainError(f"bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << n):
             raise DomainError(f"coefficients must fit in {n} bits")

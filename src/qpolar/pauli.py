@@ -53,7 +53,9 @@ _Z_BITS = str.maketrans({letter: str(z) for letter, (_, z) in _LETTER_TO_XZ.item
 
 
 def validate_word(word: str) -> str:
-    """Check a Pauli word; returns it unchanged.  Raises naming the bad character."""
+    """Check a Pauli word; returns it unchanged.  Raises naming the bad type or character."""
+    if not isinstance(word, str):
+        raise DomainError(f"a Pauli word must be a str, got {type(word).__name__}")
     if not word:
         raise DomainError("empty Pauli word")
     for ch in word:
@@ -69,8 +71,8 @@ def all_words(n_qubits: int):
 
 
 def _word_key(word: str) -> tuple[int, int]:
-    """(N, packed key) of a non-identity word; checks its letters, then identity, then N."""
-    if not word or word.strip(LETTERS):  # a non-letter is left: name it
+    """(N, packed key) of a non-identity word; checks its type and letters, then identity, then N."""
+    if word.__class__ is not str or not word or word.strip(LETTERS):  # a non-str, or a non-letter is left: name it
         validate_word(word)
     key = int(word.translate(_X_BITS) + word.translate(_Z_BITS), 2)
     if not key:
@@ -213,7 +215,11 @@ SINGLE_QUBIT = {
 
 @lru_cache(maxsize=None)
 def pauli_matrix(word: str) -> ExactMatrix:
-    """The literal 2^N x 2^N matrix of a word, leftmost letter outermost."""
+    """The literal 2^N x 2^N matrix of a word, leftmost letter outermost.
+
+    Any hashable non-str raises DomainError.  An unhashable argument, such
+    as a list, raises TypeError from the cache itself, before this runs.
+    """
     validate_word(word)
     n = len(word)
     check_cap("matrix oracle", n, f" (2^{n} x 2^{n} matrices)")
@@ -225,6 +231,9 @@ def pauli_matrix(word: str) -> ExactMatrix:
 
 def commutes_matrix(p: str, q: str) -> bool:
     """Brute-force commutation: the exact products AB and BA are equal."""
+    if p.__class__ is not str or q.__class__ is not str:  # before len, which bytes or a list would pass
+        validate_word(p)
+        validate_word(q)
     if len(p) != len(q):
         raise DimensionMismatch(f"words of length {len(p)} and {len(q)} cannot be compared")
     return pauli_matrix(p).commutes_with(pauli_matrix(q))
@@ -262,18 +271,20 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     """
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-    return _keys_to_words(sorted(_span_keys(g)), g.n)
+    return _keys_to_words(sorted(_span_keys(g.keys)), g.n)
 
 
 def _mcs_words(blocks, n: int) -> list[list[str]]:
-    """sorted(mcs_of_generator(g)) for each generator g in the sequence blocks, over n qubits.
+    """sorted(mcs_of_generator(g)) for each generator in blocks, given as its RREF row keys, over n qubits.
 
+    Generators are key tuples inside the package and Subspaces at the
+    public edge, so each block is a row-key tuple, a Subspace's ``keys``.
     Words come from one table of all 4^N words, so this serves the N the
     CLI prints, not the qubit cap.  Blocks are rendered a chunk at a time
     and column by column: row i of every block in the chunk is one column,
     the 2^n span columns grow by list-doubling as in ``_span_keys``, and
     each nonzero column is looked up in the table, both by C-level maps.
-    Every block must have rank n, or zip would truncate it.  A chunk holds
+    Every block must have n rows, or zip would truncate it.  A chunk holds
     64 blocks, so a column's item array is at most 512 bytes, pymalloc's
     small-object limit: wider columns leave freed malloc heap resident.
     The blocks come from the package's own enumerators, so none is
@@ -288,7 +299,7 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     for start in range(0, len(blocks), 64):
         chunk = blocks[start:start + 64]
         spans = [[0] * len(chunk)]
-        for rows in zip(*[g.keys for g in chunk]):
+        for rows in zip(*chunk):
             spans += [list(map(xor, span, rows)) for span in spans]
         del spans[0]  # the zero vector
         out += map(sorted, zip(*[map(table.__getitem__, span) for span in spans]))

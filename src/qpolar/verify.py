@@ -9,7 +9,7 @@ actual.  The ``verify`` subcommand prints the report.
 from __future__ import annotations
 
 from .errors import DomainError, _Value
-from .geometry import desarguesian_spread, enumerate_generators, params
+from .geometry import _generator_bases, desarguesian_spread, params
 from .gf2 import _perp_mask
 from .pauli import commutation_sweep
 
@@ -45,7 +45,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     """
     p = params(n_qubits)
     # first, so the generator enumeration cap is verify's cap before any count runs
-    gens = enumerate_generators(n_qubits)
+    gens = _generator_bases(n_qubits)  # each generator's RREF row keys
     checks: list[Check] = []
     # one perpendicular mask per point key 1 .. 4^N - 1, for eq4 and eq5
     perps = [_perp_mask(key, n_qubits) for key in range(1, 1 << (2 * n_qubits))]
@@ -56,7 +56,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     for g in gens:
         commutant = points  # the points perpendicular to every row: g itself when g is maximal isotropic
         rows = 0  # g's rows as points
-        for key in g.keys:
+        for key in g:
             commutant &= perps[key - 1]
             rows |= 1 << (key - 1)
         covered |= commutant

@@ -12,6 +12,8 @@ import pytest
 import qpolar
 from qpolar import canonical_json, pauli_to_vector, rref, run_verification
 from qpolar.cli import main
+from qpolar.geometry import _generator_bases
+from qpolar.gf2 import Subspace, _span_keys
 
 
 def run(capsys, *argv):
@@ -69,10 +71,10 @@ def test_report_overall_is_conjunction():
 
 @pytest.fixture
 def non_isotropic_generator(monkeypatch):
-    """verify's N=2 generators, the first replaced by a rank-2 subspace that is not isotropic."""
-    gens = qpolar.enumerate_generators(2)
+    """verify's N=2 generator row keys, the first replaced by a rank-2 subspace's that is not isotropic."""
+    gens = _generator_bases(2)
     x1_z1 = rref([pauli_to_vector("XI"), pauli_to_vector("ZI")])  # rank 2, but X1 and Z1 anticommute
-    monkeypatch.setattr("qpolar.verify.enumerate_generators", lambda n: [x1_z1, *gens[1:]])
+    monkeypatch.setattr("qpolar.verify._generator_bases", lambda n: [x1_z1.keys, *gens[1:]])
 
 
 def test_eq4_fails_on_a_generator_that_is_not_isotropic(non_isotropic_generator):
@@ -98,11 +100,28 @@ def test_verify_reports_a_failing_check_end_to_end(capsys, non_isotropic_generat
 
 def test_eq1_counts_the_points_on_the_enumerated_generators(monkeypatch):
     # drop the 3 N=2 generators through key 1 (IZ): it is the only point left uncovered
-    iz = pauli_to_vector("IZ")
-    gens = [g for g in qpolar.enumerate_generators(2) if not g.contains(iz)]
-    monkeypatch.setattr("qpolar.verify.enumerate_generators", lambda n: gens)
+    gens = [keys for keys in _generator_bases(2) if 1 not in _span_keys(keys)]
+    monkeypatch.setattr("qpolar.verify._generator_bases", lambda n: gens)
     failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
     assert failed == {"eq1_point_count": 14, "eq2_generator_count": 12}
+
+
+def test_generators_stay_key_tuples_inside_the_package(capsys, monkeypatch):
+    # the package makes its own Subspaces through _from_keys; generators are key
+    # tuples inside, so verify 4 makes only the 17 rref'd field-plane spread blocks
+    built = []
+    from_keys = Subspace._from_keys.__func__
+
+    def counting(cls, n, keys):
+        built.append(keys)
+        return from_keys(cls, n, keys)
+
+    monkeypatch.setattr(Subspace, "_from_keys", classmethod(counting))
+    assert run_verification(4).overall
+    assert len(built) == 17
+    built.clear()
+    assert run(capsys, "generators", "4", "--format", "json")[0] == 0
+    assert built == []
 
 
 def test_eq3_fails_when_the_spread_cannot_be_built(capsys, monkeypatch):
@@ -509,6 +528,7 @@ OUTPUT_GOLDENS = [
     ("graph 2", 0, "e1e3c549360e9e2a336ccc2b14773d2f7880c1f754152ed8eeab523192c9914f"),
     ("graph 3", 0, "920ebc357583451518ca10f88bbbb8a9edf655eb589423b49a03e5f1c9cfa1b6"),
     ("graph 3 --format json", 0, "9987db012376504d9d31dfc1c8123a21eeda20b84903ee3d79582135cf2f72e5"),
+    ("verify 2 --oracle", 0, "765cee2fad70c4e33f761dff5b53371245d902ad95b7a35cbf960a706d791e1f"),
     ("verify 3 --oracle", 0, "9413fed67b25c17e94876aba0498597e86c2cea4eb9b0f95eb8ea0279304da1c"),
     ("verify 3 --oracle --format json", 0, "4787f7d7ba8eeb340c594193db32bf4080e73dbffb0a94de62bf17a0a5fa96d4"),
     ("verify 4 --oracle", 0, "c385a6ff824d057da7dc62b6fa13fda3c41699748110fdde5beda6956f6e44cd"),

@@ -109,6 +109,29 @@ def test_validate_word():
         validate_word("xz")  # lowercase is not a word
 
 
+# a word must be a str; a list passes len and iteration, a tuple of letters
+# passes letter validation, and bytes would be read as ints
+WORD_ENTRY_POINTS = {
+    "validate_word": validate_word,
+    "pauli_to_vector": pauli_to_vector,
+    "pauli_matrix": pauli_matrix,
+    "commutes": lambda word: commutes(word, "XY"),
+    "commutes_matrix": lambda word: commutes_matrix(word, "XY"),
+}
+
+
+@pytest.mark.parametrize("entry", WORD_ENTRY_POINTS)
+@pytest.mark.parametrize("word", [5, None, b"XX", ("X",), ["X", "Y"]], ids=repr)
+def test_word_entry_points_refuse_non_str(entry, word):
+    if entry == "pauli_matrix" and isinstance(word, list):
+        # the cache hashes its argument before pauli_matrix runs
+        with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
+            pauli_matrix(word)
+        return
+    with pytest.raises(DomainError, match=f"^a Pauli word must be a str, got {type(word).__name__}$"):
+        WORD_ENTRY_POINTS[entry](word)
+
+
 def test_encoding_goldens():
     assert pauli_to_vector("X") == SymplecticVector(1, 1, 0)
     assert pauli_to_vector("Z") == SymplecticVector(1, 0, 1)
@@ -465,7 +488,7 @@ def test_batch_renderer_matches_mcs_of_generator():
     cases = [(n, enumerate_generators(n)) for n in (1, 2, 3, 4)]
     cases += [(n, desarguesian_spread(n).blocks) for n in (1, 2, 3, 4, 5)]
     for n, blocks in cases:
-        assert _mcs_words(blocks, n) == [sorted(mcs_of_generator(g)) for g in blocks]
+        assert _mcs_words([g.keys for g in blocks], n) == [sorted(mcs_of_generator(g)) for g in blocks]
     assert _mcs_words([], 3) == []
 
 
@@ -475,8 +498,9 @@ def test_batch_renderer_matches_mcs_of_generator():
 def test_batch_renderer_across_chunk_boundaries(k):
     blocks = enumerate_generators(4)[:k]
     expected = [sorted(mcs_of_generator(g)) for g in blocks]
-    assert _mcs_words(blocks, 4) == expected
-    assert _mcs_words(tuple(blocks), 4) == expected
+    rows = [g.keys for g in blocks]
+    assert _mcs_words(rows, 4) == expected
+    assert _mcs_words(tuple(rows), 4) == expected
 
 
 def test_mcs_words_are_ordered_by_point():
