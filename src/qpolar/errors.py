@@ -50,7 +50,7 @@ CAPS = {
 
 def check_cap(what: str, n: int, detail: str = "") -> None:
     """Raise DimensionMismatch unless n is a non-bool int >= 1; above ``CAPS[what]``, the error its name decides."""
-    if n.__class__ is not int and (isinstance(n, bool) or not isinstance(n, int)):  # exact ints skip isinstance
+    if not isinstance(n, int) or n.__class__ is bool:
         raise DimensionMismatch(f"n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")

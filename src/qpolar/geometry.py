@@ -26,11 +26,11 @@ every pivot set and its free bits, and beta over the span of the
 a(a+1)/2 basis forms, each XORing u's into one or two rows' z halves,
 so no candidate is ever tested.  The bases are sorted into canonical
 order (Subspace.sort_key order) by one int each, their rows' ranks in
-2N-bit fields.  Generators are key tuples inside the package and
-Subspaces at the public edge: _generator_bases returns each basis as
-its RREF row-key tuple, which verify, the generators command and the
-N=2 audit read directly, and enumerate_generators wraps them unchecked;
-tests rebuild every generator through the checking constructor.
+2N-bit fields.  _generator_bases returns each basis as its RREF
+row-key tuple, which verify, the generators command and the N=2 audit
+read directly (the rule in gf2's docstring), and enumerate_generators
+wraps them as Subspaces unchecked; tests rebuild every generator
+through the checking constructor.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane

@@ -277,8 +277,6 @@ def mcs_of_generator(g: Subspace) -> list[str]:
 def _mcs_words(blocks, n: int) -> list[list[str]]:
     """sorted(mcs_of_generator(g)) for each generator in blocks, given as its RREF row keys, over n qubits.
 
-    Generators are key tuples inside the package and Subspaces at the
-    public edge, so each block is a row-key tuple, a Subspace's ``keys``.
     Words come from one table of all 4^N words, so this serves the N the
     CLI prints, not the qubit cap.  Blocks are rendered a chunk at a time
     and column by column: row i of every block in the chunk is one column,
