@@ -28,8 +28,9 @@ class CapacityError(QPolarError):
 # DimensionMismatch, every other cap CapacityError.  Derived caps are not
 # stored: params() takes the qubit count cap; verify takes the generator
 # enumeration cap, as it enumerates generators (verify 4: about 0.01 s, about
-# 0.15 s with --oracle); constructed spreads take max(gf2n.MODULI), the largest
-# degree with a pinned field modulus (desarguesian_spread(5): about 0.003 s).
+# 0.03-0.045 s with --oracle); constructed spreads take max(gf2n.MODULI), the
+# largest degree with a pinned field modulus (desarguesian_spread(5): about
+# 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.0055 s for 2,295 subspaces, 0.003 s of it
@@ -43,7 +44,9 @@ CAPS = {
     # runs), nearly all of it the cover search, as search results are built
     # without re-validation; enumerate_spreads(3, limit=1): about 1.6-1.9 ms
     "spread search": 3,
-    "matrix oracle": 6,  # commutes_matrix at N=6: about 0.05 ms a pair, cache cold; 0.007 ms warm
+    # commutes_matrix at N=6: about 0.015 ms a pair, cache cold; 0.0004 ms warm.  A
+    # matrix row is one byte, col << 2 | e, so a cap above 6 needs a wider row encoding
+    "matrix oracle": 6,
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }
 

@@ -24,14 +24,16 @@ The independent route that grounds the dictionary is ExactMatrix:
 literal Kronecker products of the four single-qubit matrices over the
 Gaussian integers, where "commuting" means AB and BA are exactly equal.
 Pauli tensor products are monomial (one unit of {1, i, -1, -i} per row
-and column), so rows are stored as (column, exponent of i mod 4) and
-products add exponents exactly.  The commutation test compares AB and
-BA row by row, each row's column and exponent read straight from the
-factors, and stops at the first row that differs, so neither product
-is built.  The matrices come from literal 2x2 tables, never from x/z
-bits, so the oracle is independent of the form.  Its sweep renders
-every nonzero key to a word and checks the matrices' verdicts against
-``gf2._perp_mask``, the form behind every count.
+and column), so a matrix is a byte string: row r's byte is col << 2 | e
+for its one entry i**e in column col, which fits for dim <= 64, the
+oracle cap's 2^6.  A 256-byte right-action table holds row c times i**e
+at c << 2 | e, so the rows of AB are A's rows translated through B's
+table by one bytes.translate, exponents added exactly.  The commutation
+test builds AB and BA that way and compares them whole, every row's
+column and exponent.  The matrices come from literal 2x2 tables, never
+from x/z bits, so the oracle is independent of the form.  Its sweep
+renders every nonzero key to a word and checks the matrices' verdicts
+against ``gf2._perp_mask``, the form behind every count.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 from itertools import product as _product
 from operator import xor
 
-from .errors import DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
+from .errors import CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
 
@@ -127,39 +129,87 @@ def commutes(p: str, q: str) -> bool:
 
 # i**k for k = 0..3 as (re, im) pairs: the four units of the Gaussian integers
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# _TIMES_I[e] maps the row byte col << 2 | k to col << 2 | (k + e) % 4: the entry times i**e
+_TIMES_I = tuple(bytes([b & ~3 | (b + e) & 3 for b in range(256)]) for e in range(4))
+
+
+def _check_rows(dim: int) -> None:
+    """Refuse a matrix with more rows than one byte can address: col << 2 | e needs col < 64."""
+    if dim > 64:
+        raise CapacityError(f"ExactMatrix is capped at 64 rows, one byte each; {dim} rows were requested")
+
+
+def _kron_rows(outer: bytes, inner: bytes) -> bytes:
+    """Row bytes of the Kronecker product, outer factor left.
+
+    Outer row col << 2 | e scales the inner matrix by i**e into column
+    block col, so its block is the inner rows translated by _TIMES_I[e]
+    rotated by the block's byte offset: each byte b becomes
+    _TIMES_I[e][b + offset], which stays below 256 as the product fits.
+    """
+    d = len(inner)
+    _check_rows(len(outer) * d)
+    blocks = []
+    for a in outer:
+        times, offset = _TIMES_I[a & 3], (a & ~3) * d
+        blocks.append(inner.translate(times[offset:] + times[:offset]))
+    return b"".join(blocks)
+
+
+def _right_action(rows: bytes) -> bytes:
+    """The 256-byte table whose entry c << 2 | e is row c of ``rows`` times i**e; unused entries 0."""
+    table = bytearray(256)
+    for e, times in enumerate(_TIMES_I):
+        table[e:4 * len(rows):4] = rows.translate(times)
+    return bytes(table)
 
 
 class ExactMatrix(_Value):
-    """A square monomial matrix over the Gaussian integers with unit entries.
+    """A square monomial matrix over the Gaussian integers with unit entries, at most 64 x 64.
 
-    Row r holds its only nonzero entry, i**phases[r], in column cols[r];
-    ``re`` and ``im`` are dense views of the real and imaginary parts.
+    Row r holds one nonzero entry, i**e in column col, stored as the byte
+    ``rows[r] = col << 2 | e``.  ``table[c << 2 | e]`` is row c times i**e
+    in the same encoding, so the rows of A @ B are
+    ``A.rows.translate(B.table)``.  ``cols``, ``phases``, ``entry`` and
+    the dense ``re`` and ``im`` are read-only views of the rows.
     """
 
-    __slots__ = ("cols", "phases")
+    __slots__ = ("rows", "table")
 
     def __init__(self, re, im):
         re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
         dim = len(re)
         if len(im) != dim or any(len(row) != dim for row in re + im):
             raise DomainError("real and imaginary parts must be square and congruent")
-        rows = [[(j, e) for j, e in enumerate(zip(*parts)) if e != (0, 0)] for parts in zip(re, im)]
-        units = [row[0] for row in rows if len(row) == 1 and row[0][1] in _UNITS]
+        _check_rows(dim)
+        for row in re + im:
+            for v in row:
+                if not isinstance(v, int) or v.__class__ is bool:
+                    raise DomainError(f"matrix entries must be integers, got {v!r}")
+        nonzero = [[(j, e) for j, e in enumerate(zip(*parts)) if e != (0, 0)] for parts in zip(re, im)]
+        units = [row[0] for row in nonzero if len(row) == 1 and row[0][1] in _UNITS]
         if len({j for j, _ in units}) != dim:
             raise DomainError("not monomial: every row and column needs one entry in {1, i, -1, -i}")
-        object.__setattr__(self, "cols", tuple(j for j, _ in units))
-        object.__setattr__(self, "phases", tuple(_UNITS.index(e) for _, e in units))
+        rows = bytes([j << 2 | _UNITS.index(e) for j, e in units])
+        self.__setstate__((rows, _right_action(rows)))
 
     @classmethod
-    def _from_rows(cls, cols: tuple[int, ...], phases: tuple[int, ...]) -> "ExactMatrix":
+    def _from_rows(cls, rows: bytes) -> "ExactMatrix":
         m = object.__new__(cls)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "phases", phases)
+        m.__setstate__((rows, _right_action(rows)))
         return m
 
     @property
     def dim(self) -> int:
-        return len(self.cols)
+        return len(self.rows)
+
+    @property
+    def cols(self) -> tuple[int, ...]:
+        return tuple([b >> 2 for b in self.rows])
+
+    @property
+    def phases(self) -> tuple[int, ...]:
+        return tuple([b & 3 for b in self.rows])
 
     @property
     def re(self) -> tuple[tuple[int, ...], ...]:
@@ -170,36 +220,23 @@ class ExactMatrix(_Value):
         return tuple(tuple(self.entry(i, j)[1] for j in range(self.dim)) for i in range(self.dim))
 
     def entry(self, i: int, j: int) -> tuple[int, int]:
-        return _UNITS[self.phases[i]] if self.cols[i] == j else (0, 0)
+        b = self.rows[i]
+        return _UNITS[b & 3] if b >> 2 == j else (0, 0)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise DimensionMismatch("matrix dimensions differ")
-        b_cols, b_phases = other.cols, other.phases
-        return ExactMatrix._from_rows(
-            tuple([b_cols[c] for c in self.cols]),
-            tuple([(p + b_phases[c]) & 3 for c, p in zip(self.cols, self.phases)]),
-        )
+        return ExactMatrix._from_rows(self.rows.translate(other.table))
 
     def commutes_with(self, other: "ExactMatrix") -> bool:
-        """Whether self @ other == other @ self, compared row by row with no product built."""
-        if self.dim != other.dim:
+        """Whether self @ other == other @ self: both products' rows, all compared."""
+        if len(self.rows) != len(other.rows):
             raise DimensionMismatch("matrix dimensions differ")
-        a_cols, a_phases, b_cols, b_phases = self.cols, self.phases, other.cols, other.phases
-        # row r of A is i**p in column c, of B i**q in column d; so row r of AB
-        # is i**(p + b_phases[c]) in column b_cols[c], of BA i**(q + a_phases[d]) in a_cols[d]
-        for c, d, p, q in zip(a_cols, b_cols, a_phases, b_phases):
-            if b_cols[c] != a_cols[d] or (p + b_phases[c] - q - a_phases[d]) & 3:
-                return False
-        return True
+        return self.rows.translate(other.table) == other.rows.translate(self.table)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product with self as the outer (left) factor."""
-        d2 = other.dim
-        return ExactMatrix._from_rows(
-            tuple([a * d2 + b for a in self.cols for b in other.cols]),
-            tuple([(a + b) & 3 for a in self.phases for b in other.phases]),
-        )
+        return ExactMatrix._from_rows(_kron_rows(self.rows, other.rows))
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim})"
@@ -217,16 +254,18 @@ SINGLE_QUBIT = {
 def pauli_matrix(word: str) -> ExactMatrix:
     """The literal 2^N x 2^N matrix of a word, leftmost letter outermost.
 
-    Any hashable non-str raises DomainError.  An unhashable argument, such
-    as a list, raises TypeError from the cache itself, before this runs.
+    The letters' matrices are folded from the right, so each step's outer
+    factor is one 2 x 2 letter.  Any hashable non-str raises DomainError.
+    An unhashable argument, such as a list, raises TypeError from the
+    cache itself, before this runs.
     """
     validate_word(word)
     n = len(word)
     check_cap("matrix oracle", n, f" (2^{n} x 2^{n} matrices)")
-    m = SINGLE_QUBIT[word[0]]
-    for ch in word[1:]:
-        m = m.kron(SINGLE_QUBIT[ch])
-    return m
+    rows = SINGLE_QUBIT[word[-1]].rows
+    for ch in word[-2::-1]:
+        rows = _kron_rows(SINGLE_QUBIT[ch].rows, rows)
+    return ExactMatrix._from_rows(rows)
 
 
 def commutes_matrix(p: str, q: str) -> bool:

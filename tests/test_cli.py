@@ -479,8 +479,9 @@ def test_output_bytes_do_not_depend_on_the_hash_seed():
 # canonical_json stopped calling json.dumps with an indent; the two spread
 # search --all --format json digests at be611c7, before MCS blocks were
 # rendered column by column and lists of strings needing no escape were
-# joined whole): a change of internal representation must leave every byte
-# of output alone.
+# joined whole; the two N=6 commute --oracle digests at a03ca40, before
+# matrices were stored as row bytes): a change of internal representation
+# must leave every byte of output alone.
 OUTPUT_GOLDENS = [
     ("verify 1", 0, "c92bc056a60c44c0de5f6abcbc2d48c5b803de6f61896d5756a444c261b6b3f6"),
     ("verify 1 --format json", 0, "0975c7c93201ef7794e206bc61a7bbe9bb044d5d7d00c10c3b95594ea5520027"),
@@ -534,6 +535,8 @@ OUTPUT_GOLDENS = [
     ("verify 4 --oracle", 0, "c385a6ff824d057da7dc62b6fa13fda3c41699748110fdde5beda6956f6e44cd"),
     ("verify 4 --oracle --format json", 0, "d296668d11fbbc4391fec57a852f9c669283be5d9779262f116acd3097ac5d08"),
     ("commute XYZ ZYX --oracle", 0, "f4b7e66fde887c29973697c2abd3e62f8e91f8b98f28e86e54f5a2d1b328b682"),
+    ("commute XYZXYZ ZYXZYX --oracle", 0, "f4b7e66fde887c29973697c2abd3e62f8e91f8b98f28e86e54f5a2d1b328b682"),
+    ("commute XYZXYZ ZYXZYZ --oracle", 1, "1edbb5c8914cf3a1629ecd10b7ec566b88b3b0a6ee1a2b841ad115a2030c98b8"),
 ]
 
 

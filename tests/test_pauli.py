@@ -391,6 +391,33 @@ def test_commutes_with_matches_the_literal_products():
         pauli_matrix("X").commutes_with(pauli_matrix("XX"))
 
 
+@pytest.mark.parametrize("dim", [33, 64])
+def test_monomial_arithmetic_at_the_row_byte_edge(dim):
+    # columns from 32 up set the row byte's top bit, and dim 64 uses all 256 table entries
+    rng = random.Random(20261020 + dim)
+    a, b = random_monomial(rng, dim), random_monomial(rng, dim)
+    unit = ExactMatrix(((0,),), ((1,),))  # the 1 x 1 matrix i: the only kron factor that fits
+    a2 = a @ a
+    da, db, da2 = dense(a), dense(b), dense(a2)
+    ab, ba = dense_matmul(da, db), dense_matmul(db, da)
+    assert (dense(a @ b), dense(b @ a), da2) == (ab, ba, dense_matmul(da, da))
+    assert a.commutes_with(b) == (ab == ba) and ab != ba
+    assert a.commutes_with(a2) and dense_matmul(da, da2) == dense_matmul(da2, da)
+    assert dense(a.kron(unit)) == dense_kron(da, dense(unit))
+    assert dense(unit.kron(b)) == dense_kron(dense(unit), db)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExactMatrix([[int(i == j) for j in range(65)] for i in range(65)], [[0] * 65] * 65),
+    lambda: pauli_matrix("XXX").kron(pauli_matrix("ZYZI")),
+    lambda: pauli_matrix("X" * 6).kron(pauli_matrix("Y")),
+], ids=["dense 65", "kron 8 x 16", "kron 64 x 2"])
+def test_row_bytes_cap_the_dimension_at_64(build):
+    message = r"^ExactMatrix is capped at 64 rows, one byte each; (65|128) rows were requested$"
+    with pytest.raises(CapacityError, match=message):
+        build()
+
+
 def test_letter_product_table_against_matrices():
     for a, b in product("IXYZ", repeat=2):
         got = pauli_matrix(a) @ pauli_matrix(b)
@@ -447,6 +474,10 @@ def test_oracle_equivalence_sweep_small(n, pairs):
 
 def test_oracle_equivalence_sweep_n4():
     assert commutation_sweep(4) == (65025, 0)
+
+
+def test_oracle_equivalence_sweep_n5():
+    assert commutation_sweep(5) == (1046529, 0)
 
 
 def test_commutation_sweep_cap():

@@ -41,7 +41,7 @@ VALUES = {
         gq22_structure_check,
         ("point_count", "line_count", "points_per_line", "lines_per_point", "collinear_partners", "axiom_violations"),
     ),
-    ExactMatrix: (lambda: pauli_matrix("XYZ"), ("cols", "phases")),
+    ExactMatrix: (lambda: pauli_matrix("XYZ"), ("rows", "table")),
     Check: (lambda: Check("eq1_point_count", 15, 15), ("name", "expected", "actual")),
     VerificationReport: (lambda: run_verification(2), ("n_qubits", "checks")),
 }
@@ -107,9 +107,11 @@ def test_record_constructor_takes_exactly_its_fields(cls):
     (lambda: SymplecticVector(2, True, 0), DomainError),
     (lambda: FieldElement(2, True), DomainError),
     (lambda: enumerate_spreads(2, limit=True), DomainError),
+    (lambda: ExactMatrix(((1.0, 0), (0, True)), ((0, 0), (0, 0))), DomainError),
+    (lambda: ExactMatrix(((0, 0), (0, 0)), ((True, 0), (0, 1))), DomainError),
 ], ids=["rref n", "subspace n", "vector x", "field bits", "spread limit", "field plane str", "field plane float",
         "field plane none", "spread search bool", "params bool", "subspace bool", "vector x bool", "field bits bool",
-        "spread limit bool"])
+        "spread limit bool", "matrix entry float", "matrix entry bool"])
 def test_validating_constructors_reject_non_integers(build, error):
     with pytest.raises(error, match="must be (an )?integers?, got"):
         build()
