@@ -21,7 +21,10 @@ that need no escaping as one C join, a list of such non-empty string
 lists as one nested C join, and any other list item by item.  The MCS
 blocks of one generators or spread command are rendered column by
 column through one word table, and their text format is written by one
-print.
+print.  Both take generators as RREF key tuples, never as Subspaces:
+spread --method search renders each generator once and builds every
+spread by indexing those words with its cover, the blocks' indices from
+geometry._spread_covers.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import CAPS, DomainError, QPolarError, check_cap
-from .geometry import _generator_bases, desarguesian_spread, enumerate_spreads
+from .geometry import _generator_bases, _spread_covers, desarguesian_spread
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
 from .gf2 import _perp_mask, span_points  # noqa: F401
@@ -122,14 +125,11 @@ def cmd_spread(args) -> int:
     if args.method == "desarguesian":
         if args.all or args.limit is not None:
             raise DomainError("--all/--limit apply only to --method search")
-        spreads = [desarguesian_spread(n)]
-    elif args.all:
-        spreads = enumerate_spreads(n, limit=None)
+        rendered = [_mcs_words([b.keys for b in desarguesian_spread(n).blocks], n)]
     else:
-        spreads = enumerate_spreads(n, limit=1 if args.limit is None else args.limit)
-    # every spread's blocks go through one word table, then regroup per spread
-    words = iter(_mcs_words([b.keys for s in spreads for b in s.blocks], n))
-    rendered = [[next(words) for _ in s.blocks] for s in spreads]
+        bases, covers = _spread_covers(n, None if args.all else 1 if args.limit is None else args.limit)
+        words = _mcs_words(bases, n)
+        rendered = [[words[i] for i in cover] for cover in covers]
     if args.format == "json":
         _emit_json(n, "spreads", rendered)
     else:

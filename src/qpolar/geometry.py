@@ -27,10 +27,10 @@ a(a+1)/2 basis forms, each XORing u's into one or two rows' z halves,
 so no candidate is ever tested.  The bases are sorted into canonical
 order (Subspace.sort_key order) by one int each, their rows' ranks in
 2N-bit fields.  _generator_bases returns each basis as its RREF
-row-key tuple, which verify, the generators command and the N=2 audit
-read directly (the rule in gf2's docstring), and enumerate_generators
-wraps them as Subspaces unchecked; tests rebuild every generator
-through the checking constructor.
+row-key tuple, which verify, the generators command, the spread search
+and the N=2 audit read directly (the rule in gf2's docstring), and
+enumerate_generators wraps them as Subspaces unchecked; tests rebuild
+every generator through the checking constructor.
 
 A spread is a set of 2^N + 1 generators partitioning the 4^N - 1
 points.  One spread is built constructively from the field plane
@@ -46,7 +46,11 @@ Precomputed per call are the generators through each point and the
 generators meeting each generator, so a child's state is two big-int
 ANDs.  Spreads come out in canonical order as they are found, so a
 limit of k returns the first k.  The search runs up to the spread
-search cap, N = 3, where it finds all 960 spreads.
+search cap, N = 3, where it finds all 960 spreads.  _spread_covers
+returns each spread as its cover, the tuple of its blocks' indices into
+_generator_bases, which the spread command renders by indexing one list
+of rendered generators; enumerate_spreads wraps the covers as Spreads
+of Subspaces, unchecked.
 
 Enumeration confirms the counting identities exactly up to the
 generator enumeration cap (N <= 4; every cap is in errors.CAPS); for
@@ -294,6 +298,26 @@ def _exact_covers(rows: list[list[int]], n_cols: int, limit: int | None) -> list
     return covers
 
 
+def _spread_covers(n_qubits: int, limit: int | None) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """enumerate_spreads' search, unwrapped: the generator bases and each spread as indices into them.
+
+    bases is _generator_bases(n_qubits).  Each cover lists one spread's
+    blocks as indices into bases, in canonical block order, and covers
+    come in canonical spread order, up to limit.  The spread search cap
+    and the limit are checked here, for enumerate_spreads and the CLI.
+    """
+    n = n_qubits
+    check_cap("spread search", n)
+    if limit is not None and (not isinstance(limit, int) or limit.__class__ is bool):
+        raise DomainError(f"limit must be an integer, got {limit!r}")
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be at least 1, got {limit}")
+
+    bases = _generator_bases(n)
+    covers = _exact_covers([[k - 1 for k in _span_keys(keys)] for keys in bases], (1 << (2 * n)) - 1, limit)
+    return bases, covers
+
+
 def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     """Exhaustive exact-cover search for spreads, in canonical order.
 
@@ -315,16 +339,9 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     results are built unchecked; tests rebuild every one through the
     checking Spread constructor.
     """
-    n = n_qubits
-    check_cap("spread search", n)
-    if limit is not None and (not isinstance(limit, int) or limit.__class__ is bool):
-        raise DomainError(f"limit must be an integer, got {limit!r}")
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be at least 1, got {limit}")
-
-    generators = enumerate_generators(n)
-    covers = _exact_covers([[k - 1 for k in _span_keys(g.keys)] for g in generators], (1 << (2 * n)) - 1, limit)
-    return [Spread._from_blocks(n, tuple(generators[b] for b in cover)) for cover in covers]
+    bases, covers = _spread_covers(n_qubits, limit)
+    generators = [Subspace._from_keys(n_qubits, keys) for keys in bases]
+    return [Spread._from_blocks(n_qubits, tuple(generators[i] for i in cover)) for cover in covers]
 
 
 class GQReport(_Value):

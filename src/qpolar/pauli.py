@@ -327,9 +327,9 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     The blocks come from the package's own enumerators, so none is
     re-checked here; tests/test_geometry.py rebuilds them through the
     checking constructors: every generator at N <= 4
-    (test_generators_are_valid_and_distinct), every spread search result at
-    N <= 3 (test_enumerate_spreads_n2_full, test_enumerate_spreads_n3_all)
-    and every constructed spread (test_desarguesian_spread).
+    (test_generators_are_valid_and_distinct), which are also the blocks
+    the spread search renders, and every constructed spread
+    (test_desarguesian_spread).
     """
     table = _keys_to_words(range(1 << 2 * n), n)
     out: list[list[str]] = []

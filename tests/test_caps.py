@@ -23,6 +23,11 @@ def graph(n):
     return args.func(args)
 
 
+def spread_search(n):
+    args = build_parser().parse_args(["spread", str(n), "--method", "search", "--limit", "1"])
+    return args.func(args)
+
+
 # name: (cap, operation guarded by it, exception one above the cap)
 GUARDED = {
     "qubit count": (CAPS["qubit count"], lambda n: SymplecticVector(n, 0, 1), DimensionMismatch),
@@ -30,6 +35,8 @@ GUARDED = {
     "spread search": (CAPS["spread search"], lambda n: enumerate_spreads(n, limit=1), CapacityError),
     "matrix oracle": (CAPS["matrix oracle"], lambda n: commutes_matrix("X" * n, "Z" * n), CapacityError),
     "graph": (CAPS["graph"], graph, CapacityError),
+    # the CLI's search path, which reaches the cap through geometry._spread_covers
+    "spread search (CLI)": (CAPS["spread search"], spread_search, CapacityError),
     # derived caps, stored nowhere; search without a limit takes the spread search cap
     "full spread enumeration": (CAPS["spread search"], enumerate_spreads, CapacityError),
     "params": (CAPS["qubit count"], params, DimensionMismatch),

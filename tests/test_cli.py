@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpolar
-from qpolar import canonical_json, pauli_to_vector, rref, run_verification
+from qpolar import canonical_json, enumerate_spreads, mcs_of_generator, pauli_to_vector, rref, run_verification
 from qpolar.cli import main
 from qpolar.geometry import _generator_bases
 from qpolar.gf2 import Subspace, _span_keys
@@ -204,6 +204,19 @@ def test_spread_search_default_is_one_spread(capsys):
     code, out, _ = run(capsys, "spread", "2", "--method", "search")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spread_search_json_matches_public_api(capsys, n):
+    # the CLI renders index tuples; each spread and block must be enumerate_spreads' own
+    expected = [[sorted(mcs_of_generator(b)) for b in s.blocks] for s in enumerate_spreads(n)]
+    code, out, _ = run(capsys, "spread", str(n), "--method", "search", "--all", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["data"] == expected
+    for k in (1, 7):
+        code, out, _ = run(capsys, "spread", str(n), "--method", "search", "--limit", str(k), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["data"] == expected[:k]
 
 
 def test_spread_json_round_trip(capsys):

@@ -29,7 +29,7 @@ from qpolar import (
     trace,
 )
 from qpolar.errors import CAPS
-from qpolar.geometry import _exact_covers
+from qpolar.geometry import _exact_covers, _spread_covers
 from qpolar.gf2 import _perp_mask
 
 
@@ -409,15 +409,41 @@ def _reference_spread_search(n, limit=None):
     return [Spread(n, tuple(gens[b] for b in sol)) for sol in found]
 
 
-@pytest.mark.parametrize("n,limit", [(1, None), (2, None), (3, 1), (3, 2), (3, 7), (3, 100), (3, 1000)])
+def _assert_covers_index(spreads, n, limit):
+    """_spread_covers' index tuples, the ones the CLI renders, pick out the public spreads' blocks."""
+    bases, covers = _spread_covers(n, limit)
+    assert [tuple(bases[i] for i in c) for c in covers] == [tuple(b.keys for b in s.blocks) for s in spreads]
+
+
+@pytest.mark.parametrize("n,limit", [
+    (1, None), (2, None), (3, 1), (3, 2), (3, 7), (3, 100), (3, 1000),
+    (1, 1), (1, 7), (2, 1), (2, 7), (3, None),
+])
 def test_enumerate_spreads_matches_reference_search(n, limit):
-    assert enumerate_spreads(n, limit=limit) == _reference_spread_search(n, limit)
+    spreads = enumerate_spreads(n, limit=limit)
+    assert spreads == _reference_spread_search(n, limit)
+    _assert_covers_index(spreads, n, limit)
+
+
+@pytest.mark.parametrize("n,limit,error,message", [
+    (2, 0, DomainError, "limit must be at least 1, got 0"),
+    (2, -1, DomainError, "limit must be at least 1, got -1"),
+    (2, True, DomainError, "limit must be an integer, got True"),
+    (2, 2.5, DomainError, "limit must be an integer, got 2.5"),
+    (CAPS["spread search"] + 1, 1, CapacityError, "spread search is capped at N<=3; N=4 was requested"),
+])
+def test_spread_covers_refuse_as_enumerate_spreads(n, limit, error, message):
+    for search in (_spread_covers, enumerate_spreads):
+        with pytest.raises(error) as err:
+            search(n, limit)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_enumerate_spreads_n4_sorted_past_cap(monkeypatch):
     monkeypatch.setitem(CAPS, "spread search", 4)
     spreads = enumerate_spreads(4, limit=5)
     assert spreads == _reference_spread_search(4, limit=5)
+    _assert_covers_index(spreads, 4, 5)
     assert all(Spread(s.n, s.blocks) == s for s in spreads)
     keys = [s.sort_key() for s in spreads]
     assert len(set(keys)) == 5 and keys == sorted(keys)
