@@ -43,7 +43,7 @@ CAPS = {
     # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
     # runs), nearly all of it the cover search, as search results are built
     # without re-validation; enumerate_spreads(3, limit=1): about 1.6-1.9 ms.
-    # spread 3 --method search --all through cli.main: 0.009-0.014 s, 0.016-0.022 s
+    # spread 3 --method search --all through cli.main: 0.007-0.011 s, 0.012-0.016 s
     # with --format json (median of 21, three runs), each of the 135 generators
     # rendered once and indexed per spread
     "spread search": 3,
