@@ -28,9 +28,9 @@ class CapacityError(QPolarError):
 # DimensionMismatch, every other cap CapacityError.  Derived caps are not
 # stored: params() takes the qubit count cap; verify takes the generator
 # enumeration cap, as it enumerates generators (verify 4: about 0.01 s, about
-# 0.03-0.045 s with --oracle); constructed spreads take max(gf2n.MODULI), the
-# largest degree with a pinned field modulus (desarguesian_spread(5): about
-# 0.003 s).
+# 0.021-0.029 s with --oracle, median of 21 through cli.main, three runs);
+# constructed spreads take max(gf2n.MODULI), the largest degree with a pinned
+# field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
     # enumerate_generators(4): about 0.0055 s for 2,295 subspaces, 0.003 s of it
@@ -47,8 +47,10 @@ CAPS = {
     # with --format json (median of 21, three runs), each of the 135 generators
     # rendered once and indexed per spread
     "spread search": 3,
-    # commutes_matrix at N=6: about 0.015 ms a pair, cache cold; 0.0004 ms warm.  A
-    # matrix row is one byte, col << 2 | e, so a cap above 6 needs a wider row encoding
+    # commutes_matrix at N=6: about 0.015 ms a pair, cache cold; 0.0004 ms warm.
+    # commutation_sweep(6): about 5.7 s for all 16,769,025 ordered pairs (one run),
+    # 0.26-0.28 s at N=5.  A matrix row is one byte, col << 2 | e, so a cap above 6
+    # needs a wider row encoding
     "matrix oracle": 6,
     "graph": 3,  # graph 3: about 3 ms for 63 vertices and 945 edges
 }

@@ -64,7 +64,7 @@ from functools import reduce
 from operator import or_
 
 from . import gf2n
-from .errors import CAPS, CapacityError, DomainError, _Value, check_cap
+from .errors import CapacityError, DomainError, _Value, check_cap
 from .gf2 import (
     Subspace,
     SymplecticVector,
@@ -113,10 +113,8 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
 def _generator_bases(n_qubits: int) -> list[tuple[int, ...]]:
     """enumerate_generators' bases as RREF row-key tuples, in the same canonical order."""
     n = n_qubits
-    detail = ""
-    if CAPS["generator enumeration"] < n <= CAPS["qubit count"]:
-        detail = f" ({params(n).generator_count} subspaces by the product formula)"
-    check_cap("generator enumeration", n, detail)
+    # params(n), an argument, checks N against the qubit count cap before check_cap runs
+    check_cap("generator enumeration", n, f" ({params(n).generator_count} subspaces by the product formula)")
 
     width = 2 * n
     shifts = [width * (n - 1 - i) for i in range(n)]  # row i's field in a basis's rank
@@ -204,6 +202,8 @@ class Spread(_Value):
             raise DomainError(f"spread must have {p.spread_size} blocks, found {len(self.blocks)}")
         seen: set[SymplecticVector] = set()  # every block is over self.n, so equal vectors = equal keys
         for block in self.blocks:
+            if not isinstance(block, Subspace):
+                raise DomainError(f"a spread block must be a Subspace, got {type(block).__name__}")
             if block.n != self.n:
                 raise DomainError("block qubit count differs from spread")
             if block.rank != self.n or not is_totally_isotropic(block):
@@ -365,16 +365,16 @@ def gq22_structure_check() -> GQReport:
     quadrangle axiom: a point off a line is collinear with exactly one
     of its points.
     """
-    points = range(1, 16)  # keys; a set of points is a mask with key k as bit k - 1
-    lines = [_span_keys(keys) for keys in _generator_bases(2)]
-    perps = [_perp_mask(p, 2) for p in points]
+    # every set of points, one point included, is a mask with key k as bit k - 1
+    points = [1 << (k - 1) for k in range(1, 16)]
+    lines = [sum(1 << (k - 1) for k in _span_keys(keys)) for keys in _generator_bases(2)]
+    perps = [_perp_mask(k, 2) for k in range(1, 16)]
 
-    points_per_line = sorted({len(line) for line in lines})
-    lines_per_point = sorted({sum(p in line for line in lines) for p in points})
+    points_per_line = sorted({line.bit_count() for line in lines})
+    lines_per_point = sorted({sum(line & p != 0 for line in lines) for p in points})
     collinear = sorted({perp.bit_count() - 1 for perp in perps})
-    violations = 0  # lines off p that do not meet p's perpendicular set in one point
-    for p, perp in zip(points, perps):
-        violations += sum(sum(perp >> (q - 1) & 1 for q in line) != 1 for line in lines if p not in line)
+    # lines off p that do not meet p's perpendicular set in one point
+    violations = sum((perp & line).bit_count() != 1 for p, perp in zip(points, perps) for line in lines if not line & p)
 
     return GQReport(
         point_count=len(points),

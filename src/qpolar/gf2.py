@@ -25,7 +25,7 @@ package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
 taken per basis pair by ``is_totally_isotropic``, per word pair by
 ``pauli.commutes``, and for all keys at once by ``_perp_mask``, as a
 point's perpendicular set with key k as bit k - 1, which the matrix
-oracle's ``pauli.commutation_sweep`` checks pair by pair.  Points become
+oracle's ``pauli.commutation_sweep`` checks mask by mask.  Points become
 ``SymplecticVector``s only at the public edge, built when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
@@ -154,6 +154,8 @@ class Subspace(_Value):
         check_cap("qubit count", n)
         keys = []
         for row in basis:
+            if not isinstance(row, SymplecticVector):
+                raise DomainError(f"a basis row must be a SymplecticVector, got {type(row).__name__}")
             if row.n != n:
                 raise DimensionMismatch("basis rows must match the subspace qubit count")
             key = row.key
@@ -204,6 +206,8 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     rows: list[int] = []
     n = n_qubits
     for v in vectors:
+        if not isinstance(v, SymplecticVector):
+            raise DomainError(f"rref takes SymplecticVectors, got {type(v).__name__}")
         if n is None:
             n = v.n
         elif v.n != n:

@@ -32,8 +32,9 @@ table by one bytes.translate, exponents added exactly.  The commutation
 test builds AB and BA that way and compares them whole, every row's
 column and exponent.  The matrices come from literal 2x2 tables, never
 from x/z bits, so the oracle is independent of the form.  Its sweep
-renders every nonzero key to a word and checks the matrices' verdicts
-against ``gf2._perp_mask``, the form behind every count.
+renders every nonzero key to a word and compares each word's matrix
+verdicts, gathered as a point mask, with ``gf2._perp_mask``, the form
+behind every count.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ class ExactMatrix(_Value):
     __slots__ = ("rows", "table")
 
     def __init__(self, re, im):
-        re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
+        try:
+            re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
+        except TypeError as e:  # a part or a row is not iterable; e names its type
+            raise DomainError(f"real and imaginary parts must be tables of rows: {e}") from None
         dim = len(re)
         if len(im) != dim or any(len(row) != dim for row in re + im):
             raise DomainError("real and imaginary parts must be square and congruent")
@@ -282,23 +286,21 @@ def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     """Compare both commutation routes over all ordered pairs of non-identity words.
 
     Each key 1 .. 4^N - 1 is rendered to its word and built once as a
-    matrix; per pair the form side is one bit of ``_perp_mask``, and the
-    matrix side is ExactMatrix.commutes_with, which never reads x/z bits.
-    Returns (pairs_checked, mismatches).
+    matrix.  For each word u, the matrix side is the point mask of the
+    keys whose matrices commute with u's, every pair decided by
+    ExactMatrix.commutes_with, which never reads x/z bits; the form side
+    is u's ``_perp_mask``.  The pairs on which they differ are the set
+    bits of the two masks' XOR.  Returns (pairs_checked, mismatches).
     """
     n = n_qubits
     check_cap("matrix oracle", n)  # before all 4^N - 1 words are rendered
     keys = range(1, 1 << 2 * n)
     matrices = [pauli_matrix(w) for w in _keys_to_words(keys, n)]
-    pairs = 0
     mismatches = 0
     for u, a in zip(keys, matrices):
-        perp = _perp_mask(u, n)
-        for v, b in zip(keys, matrices):
-            pairs += 1
-            if (perp >> (v - 1) & 1) != a.commutes_with(b):
-                mismatches += 1
-    return pairs, mismatches
+        commuting = sum(1 << (v - 1) for v, b in zip(keys, matrices) if a.commutes_with(b))
+        mismatches += (commuting ^ _perp_mask(u, n)).bit_count()
+    return len(keys) ** 2, mismatches
 
 
 def mcs_of_generator(g: Subspace) -> list[str]:

@@ -180,6 +180,11 @@ def test_generators_capacity():
     assert "75735" in str(err.value)  # the formula-predicted count
     with pytest.raises(DimensionMismatch):
         enumerate_generators(0)
+    with pytest.raises(DimensionMismatch, match="qubit count is capped at N<=12"):
+        enumerate_generators(13)
+    for bad in (None, "4", [4]):
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            enumerate_generators(bad)
 
 
 def test_is_maximal_isotropic():

@@ -467,9 +467,14 @@ def test_homomorphism_mod_phase_randomized():
         assert_homomorphism_mod_phase(n)
 
 
-@pytest.mark.parametrize("n,pairs", [(1, 9), (2, 225)])
-def test_oracle_equivalence_sweep_small(n, pairs):
+@pytest.mark.parametrize("n,pairs", [(1, 9), (2, 225), (3, 3969)])
+def test_oracle_equivalence_sweep_small(n, pairs, monkeypatch):
+    # the reported pair count is the number of matrix comparisons made: every ordered pair once
+    calls = []
+    real = ExactMatrix.commutes_with
+    monkeypatch.setattr(ExactMatrix, "commutes_with", lambda a, b: calls.append(1) or real(a, b))
     assert commutation_sweep(n) == (pairs, 0)
+    assert len(calls) == pairs
 
 
 def test_oracle_equivalence_sweep_n4():

@@ -117,6 +117,17 @@ def test_validating_constructors_reject_non_integers(build, error):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Subspace(2, [1]),
+    lambda: rref([1]),
+    lambda: Spread(2, (1,) * 5),
+    lambda: ExactMatrix(1, 2),
+], ids=["subspace row", "rref vector", "spread block", "matrix part"])
+def test_constructors_name_a_wrong_input_type(build):
+    with pytest.raises(DomainError, match=r"\bint\b"):
+        build()
+
+
 def test_field_degree_rejects_bool():
     # True == 1 is a MODULI key; the degree check names the supported degrees
     with pytest.raises(DimensionMismatch, match=r"^supported extension degrees are \[1, 2, 3, 4, 5\], got True$"):
