@@ -179,6 +179,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree for every subcommand.
+
+    ``main`` builds one on its first call and reuses it, so a ``CAPS``
+    entry changed at run time shows in ``--help`` only for a parser built
+    after the change.
+    """
     parser = _Parser(
         prog="qpolar",
         description="Pauli commutation structure as a binary symplectic geometry.",
@@ -222,10 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # main's tree, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:

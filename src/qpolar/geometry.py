@@ -198,6 +198,8 @@ class Spread(_Value):
     def validate(self) -> None:
         """Re-check every spread invariant; raises DomainError on violation."""
         p = params(self.n)
+        if not hasattr(self.blocks, "__len__"):
+            raise DomainError(f"spread blocks must be a sequence, got {type(self.blocks).__name__}")
         if len(self.blocks) != p.spread_size:
             raise DomainError(f"spread must have {p.spread_size} blocks, found {len(self.blocks)}")
         seen: set[SymplecticVector] = set()  # every block is over self.n, so equal vectors = equal keys

@@ -152,6 +152,10 @@ class Subspace(_Value):
 
     def __init__(self, n: int, basis: Iterable[SymplecticVector]) -> None:
         check_cap("qubit count", n)
+        try:
+            basis = iter(basis)
+        except TypeError:
+            raise DomainError(f"a subspace basis must be iterable, got {type(basis).__name__}") from None
         keys = []
         for row in basis:
             if not isinstance(row, SymplecticVector):
@@ -203,6 +207,10 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     ``n_qubits`` is only needed when ``vectors`` is empty (the rank-0
     subspace is a valid result, not an error).
     """
+    try:
+        vectors = iter(vectors)
+    except TypeError:
+        raise DomainError(f"rref takes an iterable of SymplecticVectors, got {type(vectors).__name__}") from None
     rows: list[int] = []
     n = n_qubits
     for v in vectors:

@@ -14,11 +14,10 @@ commutation is phase-invariant, so nothing observable is lost.  (Y is
 the X-then-Z composition up to the phase -i, which the quotient
 absorbs.)  Any symplectic change of basis would give an equally valid
 dictionary; this letterwise one is the package-wide convention.
-A word is parsed by two str.translate passes that spell its x bits and
-its z bits as binary digits, read by one int() as the packed key
-(x << N) | z; commutes compares two such keys with no vector built.
-Words are rendered from packed keys four qubits per lookup.  Every
-such table derives from the letter encoding.
+Words are rendered from packed keys (x << N) | z four qubits per
+lookup in _CHUNKS, a table derived from the letter encoding, and parsed
+four letters per lookup in its inverse; commutes compares two parsed
+keys with no vector built.
 
 The independent route that grounds the dictionary is ExactMatrix:
 literal Kronecker products of the four single-qubit matrices over the
@@ -43,16 +42,13 @@ from functools import lru_cache
 from itertools import product as _product
 from operator import xor
 
-from .errors import CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_LETTER = {xz: letter for letter, xz in _LETTER_TO_XZ.items()}
-# str.translate tables spelling a word's x bits, and its z bits, as binary digits
-_X_BITS = str.maketrans({letter: str(x) for letter, (x, _) in _LETTER_TO_XZ.items()})
-_Z_BITS = str.maketrans({letter: str(z) for letter, (_, z) in _LETTER_TO_XZ.items()})
 
 
 def validate_word(word: str) -> str:
@@ -74,14 +70,31 @@ def all_words(n_qubits: int):
 
 
 def _word_key(word: str) -> tuple[int, int]:
-    """(N, packed key) of a non-identity word; checks its type and letters, then identity, then N."""
-    if word.__class__ is not str or not word or word.strip(LETTERS):  # a non-str, or a non-letter is left: name it
+    """(N, packed key) of a non-identity word; checks its type and letters, then identity, then N.
+
+    The word is left-padded with I to whole 4-letter chunks, and each
+    chunk is one _CHUNK_XZ lookup: one in all at N <= 4.  A chunk that is
+    not in the table holds a non-letter, which validate_word then names.
+    """
+    if word.__class__ is not str or not word:  # a non-str names its type; "" would pad to the identity
         validate_word(word)
-    key = int(word.translate(_X_BITS) + word.translate(_Z_BITS), 2)
+    n = len(word)
+    try:
+        if n <= 4:
+            x, z = _CHUNK_XZ[word.rjust(4, "I")]
+        else:
+            padded = word.rjust(n + -n % 4, "I")
+            x = z = 0
+            for i in range(0, len(padded), 4):
+                x4, z4 = _CHUNK_XZ[padded[i:i + 4]]
+                x, z = x << 4 | x4, z << 4 | z4
+    except KeyError:
+        validate_word(word)
+    key = x << n | z
     if not key:
         raise IdentityWordError("the identity word has no point in the space")
-    n = len(word)
-    check_cap("qubit count", n)
+    if n > CAPS["qubit count"]:
+        check_cap("qubit count", n)
     return n, key
 
 
@@ -96,6 +109,8 @@ _CHUNKS = tuple(
     "".join(_XZ_TO_LETTER[x >> s & 1, z >> s & 1] for s in (3, 2, 1, 0))
     for x in range(16) for z in range(16)
 )
+# its inverse: the (x4, z4) of each 4-letter chunk
+_CHUNK_XZ = {w: divmod(i, 16) for i, w in enumerate(_CHUNKS)}
 
 
 def _keys_to_words(keys, n: int) -> list[str]:

@@ -11,6 +11,7 @@ import pytest
 
 import qpolar
 from qpolar import canonical_json, enumerate_spreads, mcs_of_generator, pauli_to_vector, rref, run_verification
+from qpolar import cli
 from qpolar.cli import main
 from qpolar.geometry import _generator_bases
 from qpolar.gf2 import Subspace, _span_keys
@@ -557,3 +558,23 @@ OUTPUT_GOLDENS = [
 def test_output_matches_golden_digest(capsys, argv, code, sha256):
     got_code, out, _ = run(capsys, *argv.split())
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    # main builds its parser once; each call in turn must print what a
+    # golden pins, or what the same argv prints through a fresh parser
+    goldens = {argv: (code, sha256) for argv, code, sha256 in OUTPUT_GOLDENS}
+    sequence = [["verify", "3", "--oracle"], ["verify", "3"], ["verify", "2", "--format", "xml"], ["commute", "XY", "YX"]]
+    monkeypatch.setattr(cli, "_parser", None)
+    in_turn = [run(capsys, *sequence[0])]
+    parser = cli._parser
+    for argv in sequence[1:]:
+        in_turn.append(run(capsys, *argv))
+        assert cli._parser is parser
+    for argv, (code, out, err) in zip(sequence, in_turn):
+        if " ".join(argv) in goldens:
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == goldens[" ".join(argv)]
+        else:
+            monkeypatch.setattr(cli, "_parser", None)
+            assert run(capsys, *argv) == (code, out, err)
+    assert [code for code, _, _ in in_turn] == [0, 0, 2, 0]

@@ -30,7 +30,7 @@ from qpolar import (
     vector_to_pauli,
 )
 from qpolar.gf2 import _perp_mask
-from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words, _mcs_words
+from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words, _mcs_words, _word_key
 
 # single-letter products with the phase stripped, derived by hand from
 # XY = iZ, YZ = iX, ZX = iY and P^2 = I; used as an oracle independent
@@ -171,6 +171,47 @@ def test_pauli_to_vector_error_contract(word, expected):
     with pytest.raises(QPolarError) as err:
         pauli_to_vector(word)
     assert (type(err.value), str(err.value)) == expected
+
+
+def _reference_word_key(word):
+    """(N, key) of a word read one letter at a time from _LETTER_TO_XZ, or the (class, message) it must raise."""
+    if not isinstance(word, str):
+        return DomainError, f"a Pauli word must be a str, got {type(word).__name__}"
+    if not word:
+        return DomainError, "empty Pauli word"
+    bad = [ch for ch in word if ch not in _LETTER_TO_XZ]
+    if bad:
+        return _letter_error(bad[0], word)
+    x = z = 0
+    for ch in word:
+        xb, zb = _LETTER_TO_XZ[ch]
+        x, z = x << 1 | xb, z << 1 | zb
+    n = len(word)
+    if not x | z:
+        return _IDENTITY_ERROR
+    if n > 12:
+        return DimensionMismatch, f"qubit count is capped at N<=12; N={n} was requested"
+    return n, x << n | z
+
+
+def _parsed(word):
+    try:
+        return _word_key(word)
+    except QPolarError as err:
+        return type(err), str(err)
+
+
+def test_word_key_against_letterwise_reference():
+    # every word of 1-6 letters: one chunk, then a partial and a whole second chunk
+    words = ["".join(w) for n in range(1, 7) for w in product("IXYZ", repeat=n)]
+    # a bad letter in every position of words of one to three chunks
+    words += [w[:i] + "1" + w[i + 1:] for w in ("XXXX", "XXXXX", "XXXXXX", "YZXIYZXI", "XXXXXXXXX") for i in range(len(w))]
+    words += ["", "I" * 13, "X" * 13, "I" * 12 + "Z", b"XX", ["X", "Y"], None]
+    for word in words:
+        assert _parsed(word) == _reference_word_key(word), word
+    assert _parsed("I" * 13) == _IDENTITY_ERROR  # the identity check precedes the cap
+    assert _parsed("X" * 13) == _QUBIT_CAP_ERROR
+    assert _parsed(b"XX") == (DomainError, "a Pauli word must be a str, got bytes")
 
 
 def _length_error(m, n):

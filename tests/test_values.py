@@ -128,6 +128,17 @@ def test_constructors_name_a_wrong_input_type(build):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Subspace(2, 1), "a subspace basis must be iterable, got int"),
+    (lambda: rref(1), "rref takes an iterable of SymplecticVectors, got int"),
+    (lambda: Spread(2, 5), "spread blocks must be a sequence, got int"),
+], ids=["subspace basis", "rref vectors", "spread blocks"])
+def test_constructors_refuse_a_non_iterable(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_field_degree_rejects_bool():
     # True == 1 is a MODULI key; the degree check names the supported degrees
     with pytest.raises(DimensionMismatch, match=r"^supported extension degrees are \[1, 2, 3, 4, 5\], got True$"):
