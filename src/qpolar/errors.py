@@ -27,8 +27,8 @@ class CapacityError(QPolarError):
 # shared 2-vCPU VM).  The name decides the error: the qubit count cap raises
 # DimensionMismatch, every other cap CapacityError.  Derived caps are not
 # stored: params() takes the qubit count cap; verify takes the generator
-# enumeration cap, as it enumerates generators (verify 4: about 0.01 s, about
-# 0.021-0.029 s with --oracle, median of 21 through cli.main, three runs);
+# enumeration cap, as it enumerates generators (verify 4: about 0.004-0.005 s,
+# about 0.020-0.021 s with --oracle, median of 21 through cli.main, three runs);
 # constructed spreads take max(gf2n.MODULI), the largest degree with a pinned
 # field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
@@ -66,6 +66,12 @@ def check_cap(what: str, n: int, detail: str = "") -> None:
     if n > cap:
         error = DimensionMismatch if what == "qubit count" else CapacityError
         raise error(f"{what} is capped at N<={cap}; N={n} was requested{detail}")
+
+
+def check_type(value: object, cls: type, caller: str) -> None:
+    """Raise DomainError naming the type of ``value`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{caller} takes a {cls.__name__}, got {type(value).__name__}")
 
 
 class NotABasisError(QPolarError):

@@ -25,7 +25,9 @@ package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
 taken per basis pair by ``is_totally_isotropic``, per word pair by
 ``pauli.commutes``, and for all keys at once by ``_perp_mask``, as a
 point's perpendicular set with key k as bit k - 1, which the matrix
-oracle's ``pauli.commutation_sweep`` checks mask by mask.  Points become
+oracle's ``pauli.commutation_sweep`` checks mask by mask.  The form is
+bilinear, so non-perpendicular masks add under XOR: ``verify._perp_masks``
+list-doubles every key's mask from the 2N unit keys' masks.  Points become
 ``SymplecticVector``s only at the public edge, built when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, check_cap
+from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, check_cap, check_type
 
 
 class SymplecticVector(_Value):
@@ -133,6 +135,8 @@ def _perp_mask(key: int, n: int) -> int:
 
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
     """Evaluate the alternating form: parity of u.x & v.z plus u.z & v.x."""
+    if not isinstance(u, SymplecticVector) or not isinstance(v, SymplecticVector):
+        raise DomainError(f"sp_form takes two SymplecticVectors, got {type(u).__name__} and {type(v).__name__}")
     if u.n != v.n:
         raise DimensionMismatch(f"form needs equal qubit counts, got {u.n} and {v.n}")
     return ((u.x & v.z).bit_count() + (u.z & v.x).bit_count()) & 1
@@ -191,6 +195,7 @@ class Subspace(_Value):
         return len(self.keys)
 
     def contains(self, v: SymplecticVector) -> bool:
+        check_type(v, SymplecticVector, "Subspace.contains")
         if v.n != self.n:
             raise DimensionMismatch("vector and subspace qubit counts differ")
         return _reduce((*self.keys, v.key)) == list(self.keys)
@@ -263,6 +268,7 @@ def is_totally_isotropic(s: Subspace) -> bool:
     alternating, so diagonal pairs are free).  The form on two keys is
     the parity of one AND with the other's halves swapped.
     """
+    check_type(s, Subspace, "is_totally_isotropic")
     n, keys = s.n, s.keys
     for i in range(1, len(keys)):  # each row against every row above it
         swapped = _swap_halves(keys[i], n)
@@ -278,6 +284,7 @@ def perp_census(p: SymplecticVector) -> tuple[int, int]:
     Perpendicular means distinct with vanishing form.  The
     non-perpendicular count is 2^(2N-1) for every point.
     """
+    check_type(p, SymplecticVector, "perp_census")
     if p.is_zero:
         raise ZeroVectorError("the zero vector is not a point of the space")
     perp = _perp_mask(p.key, p.n).bit_count()

@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import product as _product
 from operator import xor
 
-from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap, check_type
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
 
@@ -130,6 +130,7 @@ def _keys_to_words(keys, n: int) -> list[str]:
 
 def vector_to_pauli(v: SymplecticVector) -> str:
     """Inverse of pauli_to_vector."""
+    check_type(v, SymplecticVector, "vector_to_pauli")
     if v.is_zero:
         raise ZeroVectorError("the zero vector corresponds to the excluded identity")
     return _keys_to_words((v.key,), v.n)[0]
@@ -325,6 +326,7 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     point order.  Maximality is is_maximal_isotropic's rank-N check; no
     point scan runs here.  The span is built and rendered on packed keys.
     """
+    check_type(g, Subspace, "mcs_of_generator")
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
     return _keys_to_words(sorted(_span_keys(g.keys)), g.n)

@@ -4,6 +4,10 @@
 :mod:`qpolar.geometry` for one qubit number, and optionally sweeps the
 matrix oracle; each count is a named :class:`Check` of expected against
 actual.  The ``verify`` subcommand prints the report.
+
+The generator and census counts read ``_perp_masks``, one table of
+every key's perpendicular mask, list-doubled from the 2N unit keys'
+masks: 2N ``_perp_mask`` calls and one XOR per key, not a call per point.
 """
 
 from __future__ import annotations
@@ -12,6 +16,21 @@ from .errors import DomainError, _Value
 from .geometry import _generator_bases, desarguesian_spread, params
 from .gf2 import _perp_mask
 from .pauli import commutation_sweep
+
+
+def _perp_masks(n: int) -> list[int]:
+    """``_perp_mask(k, n)`` for every key k = 0 .. 4^N - 1; entry 0 is every point.
+
+    Key k with bit b set is key k - 2^b plus the unit key 2^b, so its
+    non-perpendicular mask is the XOR of theirs: doubling the list once
+    per unit key builds all of them, and each is complemented at the end.
+    """
+    points = (1 << (1 << 2 * n) - 1) - 1  # bit k - 1 for each key k >= 1
+    non_perps = [0]  # non-perpendicular masks of the keys below 2^b
+    for b in range(2 * n):
+        unit = points ^ _perp_mask(1 << b, n)
+        non_perps += [mask ^ unit for mask in non_perps]
+    return [points ^ mask for mask in non_perps]
 
 
 class Check(_Value):
@@ -47,18 +66,18 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     # first, so the generator enumeration cap is verify's cap before any count runs
     gens = _generator_bases(n_qubits)  # each generator's RREF row keys
     checks: list[Check] = []
-    # one perpendicular mask per point key 1 .. 4^N - 1, for eq4 and eq5
-    perps = [_perp_mask(key, n_qubits) for key in range(1, 1 << (2 * n_qubits))]
+    perps = _perp_masks(n_qubits)  # for eq4 and eq5: perps[k] is point k's, perps[0] every point
+    bits = [1 << key >> 1 for key in range(len(perps))]  # point k as bit k - 1; 0 for key 0
 
-    points = (1 << len(perps)) - 1  # every point, as bit k - 1 for key k
+    points = perps[0]
     covered = 0  # eq1: the points on some enumerated generator
     sizes = set()
     for g in gens:
         commutant = points  # the points perpendicular to every row: g itself when g is maximal isotropic
         rows = 0  # g's rows as points
         for key in g:
-            commutant &= perps[key - 1]
-            rows |= 1 << (key - 1)
+            commutant &= perps[key]
+            rows |= bits[key]
         covered |= commutant
         sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
     size_actual = sizes.pop() if len(sizes) == 1 else -1
@@ -72,7 +91,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
         blocks = -1
     checks.append(Check("eq3_spread_partition", p.spread_size, blocks))
 
-    censuses = {len(perps) - perp.bit_count() for perp in perps}
+    censuses = {(points ^ perp).bit_count() for perp in perps[1:]}
     census_actual = censuses.pop() if len(censuses) == 1 else -1
     checks.append(Check("eq5_non_perp_census", p.non_perp_count, census_actual))
 

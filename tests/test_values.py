@@ -21,10 +21,15 @@ from qpolar import (
     enumerate_generators,
     enumerate_spreads,
     gq22_structure_check,
+    is_totally_isotropic,
+    mcs_of_generator,
     params,
     pauli_matrix,
+    perp_census,
     rref,
     run_verification,
+    sp_form,
+    vector_to_pauli,
 )
 
 # each type with a sample value and its fields, in constructor order
@@ -136,6 +141,23 @@ def test_constructors_name_a_wrong_input_type(build):
 def test_constructors_refuse_a_non_iterable(build, message):
     with pytest.raises(DomainError) as err:
         build()
+    assert str(err.value) == message
+
+
+_POINT = SymplecticVector(1, 1, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: sp_form(_POINT, 3), "sp_form takes two SymplecticVectors, got SymplecticVector and int"),
+    (lambda: perp_census(5), "perp_census takes a SymplecticVector, got int"),
+    (lambda: rref([_POINT]).contains(3), "Subspace.contains takes a SymplecticVector, got int"),
+    (lambda: is_totally_isotropic(3), "is_totally_isotropic takes a Subspace, got int"),
+    (lambda: vector_to_pauli("XX"), "vector_to_pauli takes a SymplecticVector, got str"),
+    (lambda: mcs_of_generator(3), "mcs_of_generator takes a Subspace, got int"),
+], ids=["sp_form", "perp_census", "contains", "is_totally_isotropic", "vector_to_pauli", "mcs_of_generator"])
+def test_operations_name_a_wrong_operand_type(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
     assert str(err.value) == message
 
 
