@@ -39,7 +39,7 @@ from .errors import CAPS, DomainError, QPolarError, check_cap
 from .geometry import _generator_bases, _spread_covers, desarguesian_spread
 # span_points is unused here but stays importable from cli, where the
 # tracer test in bench/test_bench.py looks for a re-bound name
-from .gf2 import _perp_mask, span_points  # noqa: F401
+from .gf2 import _perp_masks, span_points  # noqa: F401
 from .pauli import _keys_to_words, _mcs_words, commutes, commutes_matrix
 from .verify import run_verification
 
@@ -142,9 +142,10 @@ def cmd_graph(args) -> int:
     check_cap("graph", n)
     keys = range(1, 1 << (2 * n))
     points = sorted(zip(_keys_to_words(keys, n), keys))
+    perps = _perp_masks(n)
     adjacency = []
     for w, key in points:
-        perp = _perp_mask(key, n) ^ (1 << (key - 1))  # no point is its own neighbour
+        perp = perps[key] ^ (1 << (key - 1))  # no point is its own neighbour
         adjacency.append((w, [u for u, k in points if perp >> (k - 1) & 1]))
     if args.format == "json":
         _emit_json(n, "graph", adjacency)

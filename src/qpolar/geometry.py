@@ -64,11 +64,11 @@ from functools import reduce
 from operator import or_
 
 from . import gf2n
-from .errors import CapacityError, DomainError, _Value, check_cap
+from .errors import CapacityError, DomainError, _Value, check_cap, check_type
 from .gf2 import (
     Subspace,
     SymplecticVector,
-    _perp_mask,
+    _perp_masks,
     _reduce,
     _span_keys,
     is_totally_isotropic,
@@ -166,6 +166,7 @@ def is_maximal_isotropic(s: Subspace) -> bool:
     so s has an extending point exactly when its rank is below N.  The
     point-by-point extension scan lives in the exhaustive tests.
     """
+    check_type(s, Subspace, "is_maximal_isotropic")
     if not is_totally_isotropic(s):
         raise DomainError("subspace is not totally isotropic")
     return s.rank == s.n
@@ -370,7 +371,7 @@ def gq22_structure_check() -> GQReport:
     # every set of points, one point included, is a mask with key k as bit k - 1
     points = [1 << (k - 1) for k in range(1, 16)]
     lines = [sum(1 << (k - 1) for k in _span_keys(keys)) for keys in _generator_bases(2)]
-    perps = [_perp_mask(k, 2) for k in range(1, 16)]
+    perps = _perp_masks(2)[1:]
 
     points_per_line = sorted({line.bit_count() for line in lines})
     lines_per_point = sorted({sum(line & p != 0 for line in lines) for p in points})

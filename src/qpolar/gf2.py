@@ -23,11 +23,11 @@ isotropic iff sp_form(p, q) = 0 (bilinearity gives the form on all
 other pairs).  Tests exercise this equivalence directly.  Inside the
 package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
 taken per basis pair by ``is_totally_isotropic``, per word pair by
-``pauli.commutes``, and for all keys at once by ``_perp_mask``, as a
-point's perpendicular set with key k as bit k - 1, which the matrix
-oracle's ``pauli.commutation_sweep`` checks mask by mask.  The form is
-bilinear, so non-perpendicular masks add under XOR: ``verify._perp_masks``
-list-doubles every key's mask from the 2N unit keys' masks.  Points become
+``pauli.commutes``, and against one point by ``_perp_mask``, a mask with
+key k as bit k - 1.  The form is bilinear, so non-perpendicular masks
+add under XOR: ``_perp_masks`` list-doubles all 4^N masks from the 2N
+unit keys' masks, the one table read by verify's counts, ``graph``, the
+N=2 audit and ``pauli.commutation_sweep``, which checks it.  Points become
 ``SymplecticVector``s only at the public edge, built when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
@@ -66,6 +66,8 @@ class SymplecticVector(_Value):
     @classmethod
     def from_bits(cls, x_bits: str, z_bits: str) -> "SymplecticVector":
         """Build from coordinate strings, e.g. from_bits("10", "01") for N=2."""
+        check_type(x_bits, str, "SymplecticVector.from_bits")
+        check_type(z_bits, str, "SymplecticVector.from_bits")
         if len(x_bits) != len(z_bits) or not x_bits:
             raise DimensionMismatch("x and z bit strings must have equal positive length")
         for bits in (x_bits, z_bits):
@@ -90,6 +92,7 @@ class SymplecticVector(_Value):
         return 2 * self.n - self.key.bit_length()
 
     def __xor__(self, other: "SymplecticVector") -> "SymplecticVector":
+        check_type(other, SymplecticVector, "SymplecticVector ^")
         if self.n != other.n:
             raise DimensionMismatch(f"cannot add vectors over {self.n} and {other.n} qubits")
         return SymplecticVector(self.n, self.x ^ other.x, self.z ^ other.z)
@@ -131,6 +134,21 @@ def _perp_mask(key: int, n: int) -> int:
         width = 1 << b
         mask |= (mask ^ ((1 << width) - 1) if swapped >> b & 1 else mask) << width
     return mask >> 1
+
+
+def _perp_masks(n: int) -> list[int]:
+    """``_perp_mask(k, n)`` for every key k = 0 .. 4^N - 1; entry 0 is every point.
+
+    Key k with bit b set is key k - 2^b plus the unit key 2^b, so its
+    non-perpendicular mask is the XOR of theirs: doubling the list once
+    per unit key builds all of them, and each is complemented at the end.
+    """
+    points = (1 << (1 << 2 * n) - 1) - 1  # bit k - 1 for each key k >= 1
+    non_perps = [0]  # non-perpendicular masks of the keys below 2^b
+    for b in range(2 * n):
+        unit = points ^ _perp_mask(1 << b, n)
+        non_perps += [mask ^ unit for mask in non_perps]
+    return [points ^ mask for mask in non_perps]
 
 
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:

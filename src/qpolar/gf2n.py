@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .errors import DimensionMismatch, DomainError, NotABasisError, _Value
+from .errors import DimensionMismatch, DomainError, NotABasisError, _Value, check_type
 from .gf2 import _reduce
 
 MODULI = {
@@ -53,6 +53,7 @@ class FieldElement(_Value):
         object.__setattr__(self, "bits", bits)
 
     def __xor__(self, other: "FieldElement") -> "FieldElement":
+        check_type(other, FieldElement, "FieldElement ^")
         if self.n != other.n:
             raise DimensionMismatch("cannot add elements of different degrees")
         return FieldElement(self.n, self.bits ^ other.bits)
@@ -74,6 +75,8 @@ def elements(n: int) -> Iterator[FieldElement]:
 
 def fmul(a: FieldElement, b: FieldElement) -> FieldElement:
     """Product modulo the pinned irreducible polynomial."""
+    if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
+        raise DomainError(f"fmul takes two FieldElements, got {type(a).__name__} and {type(b).__name__}")
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply degrees {a.n} and {b.n}")
     n = a.n
@@ -95,6 +98,7 @@ def fmul(a: FieldElement, b: FieldElement) -> FieldElement:
 
 def trace(a: FieldElement) -> int:
     """Absolute trace a + a^2 + ... + a^(2^(n-1)), landing in {0, 1}."""
+    check_type(a, FieldElement, "trace")
     acc = a
     power = a
     for _ in range(a.n - 1):
@@ -118,6 +122,13 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
     test_dual_basis_matches_definition_* checks Tr(primal_i * delta_j) =
     [i == j] against a brute-force search, so it is not re-checked here.
     """
+    try:
+        primal = tuple(primal)
+    except TypeError:
+        raise DomainError(f"dual_basis takes an iterable of FieldElements, got {type(primal).__name__}") from None
+    for e in primal:
+        if not isinstance(e, FieldElement):
+            raise DomainError(f"dual_basis takes FieldElements, got {type(e).__name__}")
     if not primal:
         raise NotABasisError("empty primal basis")
     n = primal[0].n

@@ -31,9 +31,8 @@ table by one bytes.translate, exponents added exactly.  The commutation
 test builds AB and BA that way and compares them whole, every row's
 column and exponent.  The matrices come from literal 2x2 tables, never
 from x/z bits, so the oracle is independent of the form.  Its sweep
-renders every nonzero key to a word and compares each word's matrix
-verdicts, gathered as a point mask, with ``gf2._perp_mask``, the form
-behind every count.
+compares each word's matrix verdicts, as a point mask, with its entry
+of ``gf2._perp_masks``, the table every count reads.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from operator import xor
 
 from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap, check_type
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, _perp_mask, _span_keys, _swap_halves, _vectors
+from .gf2 import Subspace, SymplecticVector, _perp_masks, _span_keys, _swap_halves, _vectors
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -305,17 +304,18 @@ def commutation_sweep(n_qubits: int) -> tuple[int, int]:
     matrix.  For each word u, the matrix side is the point mask of the
     keys whose matrices commute with u's, every pair decided by
     ExactMatrix.commutes_with, which never reads x/z bits; the form side
-    is u's ``_perp_mask``.  The pairs on which they differ are the set
-    bits of the two masks' XOR.  Returns (pairs_checked, mismatches).
+    is u's entry of ``_perp_masks``.  The pairs on which they differ are
+    the set bits of the two masks' XOR.  Returns (pairs_checked, mismatches).
     """
     n = n_qubits
     check_cap("matrix oracle", n)  # before all 4^N - 1 words are rendered
     keys = range(1, 1 << 2 * n)
     matrices = [pauli_matrix(w) for w in _keys_to_words(keys, n)]
+    perps = _perp_masks(n)
     mismatches = 0
     for u, a in zip(keys, matrices):
         commuting = sum(1 << (v - 1) for v, b in zip(keys, matrices) if a.commutes_with(b))
-        mismatches += (commuting ^ _perp_mask(u, n)).bit_count()
+        mismatches += (commuting ^ perps[u]).bit_count()
     return len(keys) ** 2, mismatches
 
 

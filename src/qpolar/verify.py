@@ -5,32 +5,16 @@
 matrix oracle; each count is a named :class:`Check` of expected against
 actual.  The ``verify`` subcommand prints the report.
 
-The generator and census counts read ``_perp_masks``, one table of
-every key's perpendicular mask, list-doubled from the 2N unit keys'
-masks: 2N ``_perp_mask`` calls and one XOR per key, not a call per point.
+The generator and census counts read ``gf2._perp_masks``, the table of
+every key's perpendicular mask that the oracle sweep checks.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, _Value
 from .geometry import _generator_bases, desarguesian_spread, params
-from .gf2 import _perp_mask
+from .gf2 import _perp_masks
 from .pauli import commutation_sweep
-
-
-def _perp_masks(n: int) -> list[int]:
-    """``_perp_mask(k, n)`` for every key k = 0 .. 4^N - 1; entry 0 is every point.
-
-    Key k with bit b set is key k - 2^b plus the unit key 2^b, so its
-    non-perpendicular mask is the XOR of theirs: doubling the list once
-    per unit key builds all of them, and each is complemented at the end.
-    """
-    points = (1 << (1 << 2 * n) - 1) - 1  # bit k - 1 for each key k >= 1
-    non_perps = [0]  # non-perpendicular masks of the keys below 2^b
-    for b in range(2 * n):
-        unit = points ^ _perp_mask(1 << b, n)
-        non_perps += [mask ^ unit for mask in non_perps]
-    return [points ^ mask for mask in non_perps]
 
 
 class Check(_Value):

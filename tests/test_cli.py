@@ -14,8 +14,7 @@ from qpolar import canonical_json, enumerate_spreads, mcs_of_generator, pauli_to
 from qpolar import cli
 from qpolar.cli import main
 from qpolar.geometry import _generator_bases
-from qpolar.gf2 import Subspace, _perp_mask, _span_keys
-from qpolar.verify import _perp_masks
+from qpolar.gf2 import Subspace, _span_keys
 
 
 def run(capsys, *argv):
@@ -136,19 +135,13 @@ def test_eq3_fails_when_the_spread_cannot_be_built(capsys, monkeypatch):
     assert run(capsys, "verify", "2")[0] == 1
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_perp_masks_equal_one_perp_mask_per_key(n):
-    points = (1 << (1 << 2 * n) - 1) - 1
-    assert _perp_masks(n) == [points] + [_perp_mask(key, n) for key in range(1, 1 << 2 * n)]
-
-
 def test_eq4_fails_on_a_form_that_is_not_alternating(monkeypatch):
     # the dot product x.x' + z.z' is bilinear but not alternating: an odd-weight
     # point is not perpendicular to itself, so it falls outside its generator's commutant
     def dot_product(key, n):
         return sum(1 << (k - 1) for k in range(1, 1 << 2 * n) if not (k & key).bit_count() & 1)
 
-    monkeypatch.setattr("qpolar.verify._perp_mask", dot_product)
+    monkeypatch.setattr("qpolar.gf2._perp_mask", dot_product)
     for n in (1, 2, 3):
         failed = {c.name: c.actual for c in run_verification(n).checks if not c.ok}
         assert failed == {"eq4_generator_size": -1}, n

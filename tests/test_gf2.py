@@ -20,8 +20,8 @@ from qpolar import (
     span_points,
     sp_form,
 )
-from qpolar import gf2
-from qpolar.gf2 import _perp_mask, _swap_halves
+from qpolar import cli, geometry, gf2, pauli, verify
+from qpolar.gf2 import _perp_mask, _perp_masks, _swap_halves
 from qpolar.pauli import all_words, pauli_to_vector, vector_to_pauli
 
 SEED = 20260826
@@ -375,6 +375,20 @@ def test_swapped_key_parity_is_the_form():
             perp = _perp_mask(u.key, n)
             for v in vecs[1:]:
                 assert perp >> (v.key - 1) & 1 == 1 - sp_form(u, v)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perp_masks_equal_one_perp_mask_per_key(n):
+    points = (1 << (1 << 2 * n) - 1) - 1
+    assert _perp_masks(n) == [points] + [_perp_mask(key, n) for key in range(1, 1 << 2 * n)]
+
+
+def test_every_whole_space_mask_comes_from_the_one_table():
+    # verify's counts, the oracle sweep, graph and the N=2 audit read the
+    # table the oracle checks; none of them builds masks point by point
+    for module in (verify, pauli, cli, geometry):
+        assert module._perp_masks is gf2._perp_masks, module.__name__
+        assert not hasattr(module, "_perp_mask"), module.__name__
 
 
 def test_perp_census_rejects_zero():

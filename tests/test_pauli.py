@@ -29,7 +29,7 @@ from qpolar import (
     validate_word,
     vector_to_pauli,
 )
-from qpolar.gf2 import _perp_mask
+from qpolar.gf2 import _perp_masks
 from qpolar.pauli import _CHUNKS, _LETTER_TO_XZ, _keys_to_words, _mcs_words, _word_key
 
 # single-letter products with the phase stripped, derived by hand from
@@ -542,7 +542,7 @@ def test_commutation_sweep_counts_a_wrong_matrix(monkeypatch):
 def test_commutation_sweep_counts_a_wrong_form(monkeypatch):
     # key 1 (Z) loses its own bit, so the form side says Z anticommutes with
     # itself; every other pair keeps its verdict, so exactly 1 of the 9 mismatches
-    monkeypatch.setattr("qpolar.pauli._perp_mask", lambda key, n: _perp_mask(key, n) ^ (key == 1))
+    monkeypatch.setattr("qpolar.pauli._perp_masks", lambda n: [m ^ (k == 1) for k, m in enumerate(_perp_masks(n))])
     assert commutation_sweep(1) == (9, 1)
 
 

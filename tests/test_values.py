@@ -18,9 +18,12 @@ from qpolar import (
     SymplecticVector,
     VerificationReport,
     desarguesian_spread,
+    dual_basis,
     enumerate_generators,
     enumerate_spreads,
+    fmul,
     gq22_structure_check,
+    is_maximal_isotropic,
     is_totally_isotropic,
     mcs_of_generator,
     params,
@@ -29,6 +32,7 @@ from qpolar import (
     rref,
     run_verification,
     sp_form,
+    trace,
     vector_to_pauli,
 )
 
@@ -154,7 +158,19 @@ _POINT = SymplecticVector(1, 1, 0)
     (lambda: is_totally_isotropic(3), "is_totally_isotropic takes a Subspace, got int"),
     (lambda: vector_to_pauli("XX"), "vector_to_pauli takes a SymplecticVector, got str"),
     (lambda: mcs_of_generator(3), "mcs_of_generator takes a Subspace, got int"),
-], ids=["sp_form", "perp_census", "contains", "is_totally_isotropic", "vector_to_pauli", "mcs_of_generator"])
+    (lambda: is_maximal_isotropic(3), "is_maximal_isotropic takes a Subspace, got int"),
+    (lambda: fmul(1, 2), "fmul takes two FieldElements, got int and int"),
+    (lambda: trace(3), "trace takes a FieldElement, got int"),
+    (lambda: dual_basis(5), "dual_basis takes an iterable of FieldElements, got int"),
+    (lambda: dual_basis([1]), "dual_basis takes FieldElements, got int"),
+    (lambda: FieldElement(2, 1) ^ 3, "FieldElement ^ takes a FieldElement, got int"),
+    (lambda: _POINT ^ 3, "SymplecticVector ^ takes a SymplecticVector, got int"),
+    (lambda: SymplecticVector.from_bits(1, 1), "SymplecticVector.from_bits takes a str, got int"),
+], ids=[
+    "sp_form", "perp_census", "contains", "is_totally_isotropic", "vector_to_pauli", "mcs_of_generator",
+    "is_maximal_isotropic", "fmul", "trace", "dual_basis", "dual_basis_element", "FieldElement_xor",
+    "SymplecticVector_xor", "from_bits",
+])
 def test_operations_name_a_wrong_operand_type(call, message):
     with pytest.raises(DomainError) as err:
         call()
