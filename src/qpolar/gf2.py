@@ -276,6 +276,7 @@ def _span_keys(rows: tuple[int, ...]) -> list[int]:
 
 def span_points(s: Subspace) -> set[SymplecticVector]:
     """All 2^rank - 1 nonzero vectors in the span of the basis."""
+    check_type(s, Subspace, "span_points")
     return set(_vectors(_span_keys(s.keys), s.n))
 
 

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -208,9 +211,13 @@ def test_spread_search_all_n2(capsys):
 
 
 def test_spread_search_limit(capsys):
-    code, out, _ = run(capsys, "spread", "3", "--method", "search", "--limit", "1")
+    # k spreads of 9 blocks and k - 1 blank separators are the first 10k - 1 lines
+    code, every, _ = run(capsys, "spread", "3", "--method", "search", "--all")
     assert code == 0
-    assert len(out.strip().splitlines()) == 9
+    for k in (1, 7):
+        code, out, _ = run(capsys, "spread", "3", "--method", "search", "--limit", str(k))
+        assert code == 0
+        assert every.startswith(out) and out.count("\n") == 10 * k - 1
 
 
 def test_spread_search_default_is_one_spread(capsys):
@@ -292,6 +299,22 @@ def test_canonical_json_string_lists_match_json_dumps(payload):
     assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+# spread 5: N=5 words; graph 3: tuples holding a list, encoded item by item
+@pytest.mark.parametrize("argv", [
+    "generators 4 --format json",
+    "spread 3 --method search --all --format json",
+    "spread 5 --format json",
+    "graph 3 --format json",
+])
+def test_json_output_is_json_dumps_of_its_parse(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    dumped = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    # the first differing line, as pytest's diff of a megabyte of text takes minutes
+    pairs = zip_longest(dumped.splitlines(keepends=True), out.splitlines(keepends=True))
+    assert next((pair for pair in pairs if pair[0] != pair[1]), None) is None
+
+
 def test_spread_usage_errors(capsys):
     assert run(capsys, "spread", "2", "--all")[0] == 2  # --all needs search
     assert run(capsys, "spread", "2", "--method", "search", "--all", "--limit", "2")[0] == 2
@@ -328,7 +351,6 @@ def test_graph_n3_json_degrees(capsys):
     assert doc["kind"] == "graph"
     assert len(doc["data"]) == 63
     assert all(len(neighbors) == 30 for _, neighbors in doc["data"])
-    assert canonical_json(doc) + "\n" == out
 
 
 def test_graph_usage_errors(capsys):
@@ -372,9 +394,13 @@ def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate", "2")[0] == 2
 
 
+# argparse's refusals, then qpolar's own: two caps, and the word parser on a
+# bad letter, on one past the first 4-letter chunk and on the identity
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "x"], ["frobnicate", "2"], [], ["spread", "2", "--limit", "abc"], ["verify", "2", "--format", "xml"]],
+    [["verify", "x"], ["frobnicate", "2"], [], ["spread", "2", "--limit", "abc"], ["verify", "2", "--format", "xml"],
+     ["spread", "6"], ["commute", "XXXXXXX", "ZZZZZZZ", "--oracle"], ["commute", "X1", "XZ"],
+     ["commute", "XXXXX1", "XXXXXZ"], ["commute", "IIII", "XIII"]],
 )
 def test_argparse_usage_error_prints_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -388,14 +414,28 @@ def test_help_still_exits_zero(capsys):
         assert (code, err) == (0, "") and out.startswith("usage: qpolar")
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(qpolar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_readme_cli_examples_exit_0_with_empty_stderr(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv for argv in argvs if argv[:1] == ["qpolar"]]
+    assert examples
+    for argv in examples:
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), shlex.join(argv)
 
+
+def _env_with_src():
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
     def qpolar_m(*argv):
         return subprocess.run(
             # -S loads no site-packages, so a third-party import in the package fails here
-            [sys.executable, "-S", "-m", "qpolar", *argv], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-S", "-m", "qpolar", *argv],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60,
         )
 
     done = qpolar_m("commute", "XX", "ZZ", "--oracle")
@@ -408,11 +448,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
-    src = str(Path(qpolar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
     def python(*argv):
-        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=_env_with_src(), timeout=60)
 
     done = python("-m", "qpolar.cli", "commute", "XX", "ZZ")
     assert (done.returncode, done.stdout, done.stderr) == (0, "commute\n", "")
@@ -422,21 +459,14 @@ def test_cli_module_runs_without_runpy_warning_and_loads_lazily():
 
 def test_import_loads_no_heavy_stdlib_module_and_not_the_cli():
     # -S: a plain interpreter, as a site .pth file may load some of these itself
-    src = str(Path(qpolar.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import qpolar; "
-        "print(*sorted(set(sys.modules) - before))"
+    code = "import sys; before = set(sys.modules); import qpolar; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_env_with_src(), timeout=60
     )
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     added = set(done.stdout.split())
     assert "qpolar.gf2" in added
     assert added.isdisjoint({"dataclasses", "inspect", "typing", "argparse", "json", "qpolar.cli"})
-
-
-def _env_with_src():
-    src = str(Path(qpolar.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # each output is more than a pipe buffer holds, so a write after the close fails
@@ -477,22 +507,29 @@ def test_failed_write_exits_2_with_one_error_line(command):
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed():
-    # no output may depend on set or dict iteration order
+    # no output may depend on set or dict iteration order; each run prints one
+    # line per argv: the argv, its exit code and the sha256 of its output
     code = (
+        "import contextlib, hashlib, io\n"
         "from qpolar.cli import main\n"
-        "for argv in ('generators 3', 'verify 3 --format json',\n"
-        "             'spread 3 --method search --limit 5 --format json', 'graph 2 --format json'):\n"
-        "    main(argv.split())\n"
+        "for argv in ('generators 3', 'generators 4', 'verify 3 --format json', 'verify 4 --format json',\n"
+        "             'verify 3 --oracle --format json', 'graph 2 --format json', 'graph 3 --format json',\n"
+        "             'spread 3 --method search --limit 5 --format json',\n"
+        "             'spread 3 --method search --all --format json'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = main(argv.split())\n"
+        "    print(argv, code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
     )
     outs = []
     for seed in ("0", "1"):
         done = subprocess.run(
             [sys.executable, "-S", "-c", code],
-            capture_output=True, env=dict(_env_with_src(), PYTHONHASHSEED=seed), timeout=60,
+            capture_output=True, text=True, env=dict(_env_with_src(), PYTHONHASHSEED=seed), timeout=60,
         )
-        assert (done.returncode, done.stderr) == (0, b"")
-        outs.append(done.stdout)
-    assert outs[0] == outs[1] and outs[0].count(b'"kind"') == 3
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append(done.stdout.splitlines())
+    assert outs[0] == outs[1]
+    assert [line.split()[-2] for line in outs[0]] == ["0"] * 9
 
 
 # sha256 of stdout and the exit code of each invocation, captured at commit

@@ -502,8 +502,7 @@ def test_homomorphism_mod_phase_exhaustive_small():
         assert_homomorphism_mod_phase(n)
 
 
-def test_homomorphism_mod_phase_randomized():
-    # the name is historical: every ordered pair at N = 3 and 4 is checked
+def test_homomorphism_mod_phase_exhaustive_n3_n4():
     for n in (3, 4):
         assert_homomorphism_mod_phase(n)
 

@@ -1,6 +1,7 @@
 """The value-type contract shared by every immutable record in the package."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -32,9 +33,11 @@ from qpolar import (
     rref,
     run_verification,
     sp_form,
+    span_points,
     trace,
     vector_to_pauli,
 )
+import qpolar
 
 # each type with a sample value and its fields, in constructor order
 VALUES = {
@@ -166,15 +169,40 @@ _POINT = SymplecticVector(1, 1, 0)
     (lambda: FieldElement(2, 1) ^ 3, "FieldElement ^ takes a FieldElement, got int"),
     (lambda: _POINT ^ 3, "SymplecticVector ^ takes a SymplecticVector, got int"),
     (lambda: SymplecticVector.from_bits(1, 1), "SymplecticVector.from_bits takes a str, got int"),
+    (lambda: span_points(3), "span_points takes a Subspace, got int"),
 ], ids=[
     "sp_form", "perp_census", "contains", "is_totally_isotropic", "vector_to_pauli", "mcs_of_generator",
     "is_maximal_isotropic", "fmul", "trace", "dual_basis", "dual_basis_element", "FieldElement_xor",
-    "SymplecticVector_xor", "from_bits",
+    "SymplecticVector_xor", "from_bits", "span_points",
 ])
 def test_operations_name_a_wrong_operand_type(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+# every public callable but the exception classes; main is exempt, as argparse
+# itself raises TypeError on an argv it cannot iterate
+_PUBLIC = {name: getattr(qpolar, name) for name in qpolar.__all__}
+_SWEPT = [
+    name for name, obj in _PUBLIC.items()
+    if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)) and name != "main"
+]
+
+
+@pytest.mark.parametrize("name", _SWEPT)
+def test_public_callables_return_or_raise_qpolar_error_on_any_value(name):
+    obj = _PUBLIC[name]
+    params = inspect.signature(obj).parameters.values()
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        arity = len(obj.__slots__)  # a record's generic constructor: one argument per field
+    else:
+        arity = sum(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params)
+    for value in (3, "XX", None, 1.5):
+        try:
+            obj(*[value] * arity)
+        except qpolar.QPolarError:
+            pass
 
 
 def test_field_degree_rejects_bool():
