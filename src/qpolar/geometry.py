@@ -37,6 +37,9 @@ points.  One spread is built constructively from the field plane
 GF(2^N) x GF(2^N) (the lines through the origin transported to standard
 coordinates via the trace-dual basis, each spanned by N rows over that
 basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5.
+_field_plane_rows builds those rows once, as keys, for two consumers:
+desarguesian_spread, which wraps them as a validated Spread, and
+verify's eq3, which checks their partition on _perp_masks masks.
 
 Exhaustive spread search is exact cover of the points by the generators,
 run as Algorithm X on bitmasks: each generator is a row listing its
@@ -71,6 +74,7 @@ from .gf2 import (
     _perp_masks,
     _reduce,
     _span_keys,
+    _vectors,
     is_totally_isotropic,
     rref,
     span_points,
@@ -221,6 +225,26 @@ class Spread(_Value):
         return tuple(block.sort_key() for block in self.blocks)
 
 
+def _field_plane_rows(n_qubits: int) -> list[list[int]]:
+    """desarguesian_spread's blocks as N unreduced row keys each: (d*delta_j | e_j) per d in K, then (e_i | 0)."""
+    n = n_qubits
+    cap = max(gf2n.MODULI)  # the field plane exists where a modulus is pinned
+    if isinstance(n, int) and n > cap:
+        raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
+    check_cap("qubit count", n)
+
+    dual = [delta.bits for delta in gf2n.dual_basis(gf2n.polynomial_basis(n))]
+    units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
+
+    x_parts = [0]  # x_parts[a]: the coefficient of x^i becomes e_i, doubled in once per i
+    for e in units:
+        x_parts += [x | e for x in x_parts]
+
+    blocks = [[x_parts[gf2n._mul(d, delta, n)] << n | e for delta, e in zip(dual, units)] for d in range(1 << n)]
+    blocks.append([e << n for e in units])
+    return blocks
+
+
 def desarguesian_spread(n_qubits: int) -> Spread:
     """Build the field-plane spread: lines through the origin of K x K, K = GF(2^N).
 
@@ -238,23 +262,7 @@ def desarguesian_spread(n_qubits: int) -> Spread:
     and rref is canonical.
     """
     n = n_qubits
-    cap = max(gf2n.MODULI)  # the field plane exists where a modulus is pinned
-    if isinstance(n, int) and n > cap:
-        raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
-    check_cap("qubit count", n)
-
-    dual = gf2n.dual_basis(gf2n.polynomial_basis(n))
-    units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
-
-    def x_part(a: gf2n.FieldElement) -> int:  # the coefficient of x^i becomes e_i
-        return sum(e for i, e in enumerate(units) if (a.bits >> i) & 1)
-
-    blocks = [
-        rref([SymplecticVector(n, x_part(gf2n.fmul(d, delta)), e) for delta, e in zip(dual, units)])
-        for d in gf2n.elements(n)
-    ]
-    blocks.append(rref([SymplecticVector(n, e, 0) for e in units]))
-    return Spread(n, tuple(blocks))
+    return Spread(n, tuple(rref(_vectors(rows, n), n) for rows in _field_plane_rows(n)))
 
 
 def _exact_covers(rows: list[list[int]], n_cols: int, limit: int | None) -> list[tuple[int, ...]]:

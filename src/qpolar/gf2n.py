@@ -7,12 +7,15 @@ of the package is reproducible bit for bit:
     n=1: x + 1        n=2: x^2 + x + 1    n=3: x^3 + x + 1
     n=4: x^4 + x + 1  n=5: x^5 + x^2 + 1
 
-The only consumer is the field-plane spread construction, which needs
+The only consumer is geometry._field_plane_rows, the field-plane spread
+rows behind desarguesian_spread and verify's eq3, which needs
 multiplication and the trace-dual of the polynomial basis
 {1, x, ..., x^(n-1)}; that dual comes from the basis's trace Gram matrix,
-inverted by gf2._reduce, the package's one GF(2) row reduction.
-dual_basis returns it as a tuple of FieldElements.  Results are not
-re-checked per call: tests/test_gf2n.py checks Tr(p_i * delta_j) = [i == j]
+inverted by gf2._reduce, the package's one GF(2) row reduction.  The
+arithmetic runs on ints in the private kernels _mul and _trace;
+FieldElement is the public edge: fmul and trace wrap the kernels, and
+dual_basis wraps only its n results.  Results are not re-checked per
+call: tests/test_gf2n.py checks Tr(p_i * delta_j) = [i == j]
 (test_dual_basis_delta_identities, test_dual_basis_matches_definition_*)
 and trace(a) in {0, 1} for every element (test_trace_properties).
 """
@@ -73,38 +76,45 @@ def elements(n: int) -> Iterator[FieldElement]:
     return (FieldElement(n, bits) for bits in range(1 << n))
 
 
+def _mul(a: int, b: int, n: int) -> int:
+    """The product of the n-bit elements a and b modulo the pinned polynomial, as an int."""
+    # carry-less multiply
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        b >>= 1
+    # reduce degree-by-degree from the top
+    modulus = MODULI[n]
+    for bit in range(prod.bit_length() - 1, n - 1, -1):
+        if (prod >> bit) & 1:
+            prod ^= modulus << (bit - n)
+    return prod
+
+
+def _trace(a: int, n: int) -> int:
+    """The absolute trace of the n-bit element a, as 0 or 1."""
+    acc = power = a
+    for _ in range(n - 1):
+        power = _mul(power, power, n)
+        acc ^= power
+    return acc
+
+
 def fmul(a: FieldElement, b: FieldElement) -> FieldElement:
     """Product modulo the pinned irreducible polynomial."""
     if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
         raise DomainError(f"fmul takes two FieldElements, got {type(a).__name__} and {type(b).__name__}")
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply degrees {a.n} and {b.n}")
-    n = a.n
-    # carry-less multiply
-    prod = 0
-    x, y = a.bits, b.bits
-    while y:
-        if y & 1:
-            prod ^= x
-        x <<= 1
-        y >>= 1
-    # reduce degree-by-degree from the top
-    modulus = MODULI[n]
-    for bit in range(prod.bit_length() - 1, n - 1, -1):
-        if (prod >> bit) & 1:
-            prod ^= modulus << (bit - n)
-    return FieldElement(n, prod)
+    return FieldElement(a.n, _mul(a.bits, b.bits, a.n))
 
 
 def trace(a: FieldElement) -> int:
     """Absolute trace a + a^2 + ... + a^(2^(n-1)), landing in {0, 1}."""
     check_type(a, FieldElement, "trace")
-    acc = a
-    power = a
-    for _ in range(a.n - 1):
-        power = fmul(power, power)
-        acc = acc ^ power
-    return acc.bits
+    return _trace(a.bits, a.n)
 
 
 def polynomial_basis(n: int) -> list[FieldElement]:
@@ -137,8 +147,9 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
 
     # [G | I], with column j of G at bit 2n-1-j and of I at bit n-1-j; reduced,
     # it is [I | G^-1], row j pivoting on column j, unless G is singular
+    p = [e.bits for e in primal]
     aug = [
-        sum(trace(fmul(primal[i], primal[j])) << (2 * n - 1 - j) for j in range(n)) | 1 << (n - 1 - i)
+        sum(_trace(_mul(p[i], p[j], n), n) << (2 * n - 1 - j) for j in range(n)) | 1 << (n - 1 - i)
         for i in range(n)
     ]
     inv = _reduce(aug)
@@ -147,9 +158,9 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
 
     dual = []
     for j in range(n):
-        acc = zero(n)
+        acc = 0
         for k in range(n):
             if (inv[j] >> (n - 1 - k)) & 1:  # G^-1 is symmetric as G is: row j is column j
-                acc = acc ^ primal[k]
-        dual.append(acc)
+                acc ^= p[k]
+        dual.append(FieldElement(n, acc))
     return tuple(dual)

@@ -5,15 +5,17 @@
 matrix oracle; each count is a named :class:`Check` of expected against
 actual.  The ``verify`` subcommand prints the report.
 
-The generator and census counts read ``gf2._perp_masks``, the table of
-every key's perpendicular mask that the oracle sweep checks.
+The generator, spread and census counts read ``gf2._perp_masks``, the
+table of every key's perpendicular mask that the oracle sweep checks;
+the spread count takes the field-plane blocks as the row keys of
+``geometry._field_plane_rows``, so no vector, Subspace or Spread is built.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, _Value
-from .geometry import _generator_bases, desarguesian_spread, params
-from .gf2 import _perp_masks
+from .errors import _Value
+from .geometry import _field_plane_rows, _generator_bases, params
+from .gf2 import _perp_masks, _reduce, _span_keys
 from .pauli import commutation_sweep
 
 
@@ -50,7 +52,7 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     # first, so the generator enumeration cap is verify's cap before any count runs
     gens = _generator_bases(n_qubits)  # each generator's RREF row keys
     checks: list[Check] = []
-    perps = _perp_masks(n_qubits)  # for eq4 and eq5: perps[k] is point k's, perps[0] every point
+    perps = _perp_masks(n_qubits)  # for eq1, eq3, eq4 and eq5: perps[k] is point k's, perps[0] every point
     bits = [1 << key >> 1 for key in range(len(perps))]  # point k as bit k - 1; 0 for key 0
 
     points = perps[0]
@@ -69,11 +71,20 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
     checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
 
-    try:
-        blocks = len(desarguesian_spread(n_qubits).blocks)
-    except DomainError:
-        blocks = -1
-    checks.append(Check("eq3_spread_partition", p.spread_size, blocks))
+    blocks = 0  # eq3: the field-plane blocks, each a generator, partition the points
+    partition = 0
+    for rows in _field_plane_rows(n_qubits):
+        keys = _reduce(rows)
+        commutant = points
+        for key in keys:
+            commutant &= perps[key]
+        span = sum(bits[key] for key in _span_keys(keys))  # reduced rows are independent: distinct keys
+        if commutant != span or partition & span:  # a subspace is its own commutant exactly when it is a generator
+            blocks = -1
+            break
+        partition |= span
+        blocks += 1
+    checks.append(Check("eq3_spread_partition", p.spread_size, blocks if partition == points else -1))
 
     censuses = {(points ^ perp).bit_count() for perp in perps[1:]}
     census_actual = censuses.pop() if len(censuses) == 1 else -1

@@ -16,8 +16,8 @@ import qpolar
 from qpolar import canonical_json, enumerate_spreads, mcs_of_generator, pauli_to_vector, rref, run_verification
 from qpolar import cli
 from qpolar.cli import main
-from qpolar.geometry import _generator_bases
-from qpolar.gf2 import Subspace, _span_keys
+from qpolar.geometry import _field_plane_rows, _generator_bases
+from qpolar.gf2 import Subspace, SymplecticVector, _span_keys
 
 
 def run(capsys, *argv):
@@ -111,8 +111,9 @@ def test_eq1_counts_the_points_on_the_enumerated_generators(monkeypatch):
 
 
 def test_generators_stay_key_tuples_inside_the_package(capsys, monkeypatch):
-    # the package makes its own Subspaces through _from_keys; generators are key
-    # tuples inside, so verify 4 makes only the 17 rref'd field-plane spread blocks
+    # the package makes its own Subspaces through _from_keys; generators and the
+    # field-plane spread blocks are key tuples inside, so verify 4 builds neither
+    # a Subspace nor a vector
     built = []
     from_keys = Subspace._from_keys.__func__
 
@@ -120,19 +121,32 @@ def test_generators_stay_key_tuples_inside_the_package(capsys, monkeypatch):
         built.append(keys)
         return from_keys(cls, n, keys)
 
+    vectors = []
+    vector_init = SymplecticVector.__init__
+
+    def counting_init(self, n, x, z):
+        vectors.append((x, z))
+        vector_init(self, n, x, z)
+
     monkeypatch.setattr(Subspace, "_from_keys", classmethod(counting))
+    monkeypatch.setattr(SymplecticVector, "__init__", counting_init)
     assert run_verification(4).overall
-    assert len(built) == 17
-    built.clear()
+    assert (built, vectors) == ([], [])
     assert run(capsys, "generators", "4", "--format", "json")[0] == 0
     assert built == []
 
 
-def test_eq3_fails_when_the_spread_cannot_be_built(capsys, monkeypatch):
-    def no_spread(n):
-        raise qpolar.DomainError("no spread")
+XI_ZI = [pauli_to_vector("XI").key, pauli_to_vector("ZI").key]  # rank 2, but X1 and Z1 anticommute
 
-    monkeypatch.setattr("qpolar.verify.desarguesian_spread", no_spread)
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda rows: [rows[0], rows[0], *rows[2:]], lambda rows: [XI_ZI, *rows[1:]], lambda rows: rows[:-1]],
+    ids=["overlap", "not_a_generator", "no_cover"],
+)
+def test_eq3_fails_when_the_field_plane_blocks_are_not_a_spread(capsys, monkeypatch, broken):
+    rows = _field_plane_rows(2)
+    monkeypatch.setattr("qpolar.verify._field_plane_rows", lambda n: broken(rows))
     failed = {c.name: c.actual for c in run_verification(2).checks if not c.ok}
     assert failed == {"eq3_spread_partition": -1}
     assert run(capsys, "verify", "2")[0] == 1
@@ -140,14 +154,16 @@ def test_eq3_fails_when_the_spread_cannot_be_built(capsys, monkeypatch):
 
 def test_eq4_fails_on_a_form_that_is_not_alternating(monkeypatch):
     # the dot product x.x' + z.z' is bilinear but not alternating: an odd-weight
-    # point is not perpendicular to itself, so it falls outside its generator's commutant
+    # point is not perpendicular to itself, so it falls outside its generator's
+    # commutant.  eq3 reads the same table, so no field-plane block is its own
+    # commutant either
     def dot_product(key, n):
         return sum(1 << (k - 1) for k in range(1, 1 << 2 * n) if not (k & key).bit_count() & 1)
 
     monkeypatch.setattr("qpolar.gf2._perp_mask", dot_product)
     for n in (1, 2, 3):
         failed = {c.name: c.actual for c in run_verification(n).checks if not c.ok}
-        assert failed == {"eq4_generator_size": -1}, n
+        assert failed == {"eq4_generator_size": -1, "eq3_spread_partition": -1}, n
 
 
 def test_generators_n1_text(capsys):
@@ -404,8 +420,8 @@ def test_unknown_subcommand(capsys):
 )
 def test_argparse_usage_error_prints_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out) == (2, ""), argv  # the ids read argv0 .. argv9: a failure names the command line
+    assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_help_still_exits_zero(capsys):

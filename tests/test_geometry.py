@@ -29,8 +29,8 @@ from qpolar import (
     trace,
 )
 from qpolar.errors import CAPS
-from qpolar.geometry import _exact_covers, _spread_covers
-from qpolar.gf2 import _perp_mask
+from qpolar.geometry import _exact_covers, _field_plane_rows, _spread_covers
+from qpolar.gf2 import _perp_mask, _reduce
 
 
 @pytest.mark.parametrize(
@@ -274,6 +274,21 @@ def _reference_desarguesian_spread(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_desarguesian_spread_matches_pointwise_reference(n):
     assert desarguesian_spread(n) == _reference_desarguesian_spread(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_field_plane_rows_reduce_to_the_desarguesian_blocks(n):
+    assert sorted(tuple(_reduce(rows)) for rows in _field_plane_rows(n)) == sorted(
+        b.keys for b in desarguesian_spread(n).blocks
+    )
+
+
+def test_field_plane_rows_capacity_matches_the_spread():
+    with pytest.raises(CapacityError) as spread_error:
+        desarguesian_spread(6)
+    with pytest.raises(CapacityError) as rows_error:
+        _field_plane_rows(6)
+    assert str(rows_error.value) == str(spread_error.value) == "constructed spreads are capped at N<=5; N=6 was requested"
 
 
 def test_desarguesian_n1_block_order():

@@ -19,6 +19,7 @@ from qpolar import (
     trace,
     zero,
 )
+from qpolar.gf2n import _mul, _trace
 
 SEED = 20260826
 DEGREES = (1, 2, 3, 4, 5)
@@ -116,6 +117,17 @@ def test_trace_properties():
         for a in elements(n):
             for b in elements(n):
                 assert trace(a ^ b) == trace(a) ^ trace(b)
+
+
+def test_int_kernels_match_the_field_element_wrappers_exhaustively():
+    pairs = 0
+    for n in DEGREES:
+        for a in elements(n):
+            assert _trace(a.bits, n) == trace(a)
+            for b in elements(n):
+                assert _mul(a.bits, b.bits, n) == fmul(a, b).bits
+                pairs += 1
+    assert pairs == 1364
 
 
 def test_trace_goldens():
