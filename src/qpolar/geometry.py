@@ -39,7 +39,8 @@ coordinates via the trace-dual basis, each spanned by N rows over that
 basis) for every N with a pinned modulus in gf2n.MODULI, N <= 5.
 _field_plane_rows builds those rows once, as keys, for two consumers:
 desarguesian_spread, which wraps them as a validated Spread, and
-verify's eq3, which checks their partition on _perp_masks masks.
+verify's eq3, which checks each block by its commutant on the
+_perp_masks table, as eq4 checks a generator, with no reduction or span.
 
 Exhaustive spread search is exact cover of the points by the generators,
 run as Algorithm X on bitmasks: each generator is a row listing its
@@ -70,7 +71,6 @@ from . import gf2n
 from .errors import CapacityError, DomainError, _Value, check_cap, check_type
 from .gf2 import (
     Subspace,
-    SymplecticVector,
     _perp_masks,
     _reduce,
     _span_keys,
@@ -207,7 +207,7 @@ class Spread(_Value):
             raise DomainError(f"spread blocks must be a sequence, got {type(self.blocks).__name__}")
         if len(self.blocks) != p.spread_size:
             raise DomainError(f"spread must have {p.spread_size} blocks, found {len(self.blocks)}")
-        seen: set[SymplecticVector] = set()  # every block is over self.n, so equal vectors = equal keys
+        seen = set()  # of points; every block is over self.n, so equal vectors = equal keys
         for block in self.blocks:
             if not isinstance(block, Subspace):
                 raise DomainError(f"a spread block must be a Subspace, got {type(block).__name__}")

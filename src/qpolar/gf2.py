@@ -37,8 +37,12 @@ Generators follow one rule: key tuples inside, Subspace at the public
 edge.  The package's own code reads them as these tuples, and
 ``_span_keys`` spans a tuple of row keys, not a Subspace.
 ``_reduce``, the package's one GF(2) row reduction, builds that basis in
-``rref``, decides the checked constructor and ``Subspace.contains``, and
-gives ``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].
+``rref``, decides the checked constructor and ``Subspace.contains``,
+reduces each x-projection's dot-product complement in
+``geometry._generator_bases``, and gives ``gf2n.dual_basis`` its trace
+Gram inverse by reducing [G | I].  verify reduces and spans nothing: a
+set of rows has its span's commutant, so it checks each block, generator
+or field-plane line, by the AND of its rows' ``_perp_masks`` entries.
 """
 
 from __future__ import annotations

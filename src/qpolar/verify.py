@@ -6,16 +6,21 @@ matrix oracle; each count is a named :class:`Check` of expected against
 actual.  The ``verify`` subcommand prints the report.
 
 The generator, spread and census counts read ``gf2._perp_masks``, the
-table of every key's perpendicular mask that the oracle sweep checks;
-the spread count takes the field-plane blocks as the row keys of
-``geometry._field_plane_rows``, so no vector, Subspace or Spread is built.
+table of every key's perpendicular mask that the oracle sweep checks.
+One scan takes each block of row keys to its commutant on that table,
+the AND of its rows' masks: eq1, eq2 and eq4 scan the enumerated
+generators, eq3 the unreduced field-plane rows of
+``geometry._field_plane_rows``.  A block is a generator when its
+commutant holds its rows and has 2^N - 1 points, so nothing is reduced
+or spanned and no vector, Subspace or Spread is built; tests check each
+commutant against the block's span.
 """
 
 from __future__ import annotations
 
 from .errors import _Value
 from .geometry import _field_plane_rows, _generator_bases, params
-from .gf2 import _perp_masks, _reduce, _span_keys
+from .gf2 import _perp_masks
 from .pauli import commutation_sweep
 
 
@@ -42,6 +47,26 @@ class VerificationReport(_Value):
         return all(c.ok for c in self.checks)
 
 
+def _scan(blocks: list, perps: list[int], bits: list[int]) -> tuple[int, set[int]]:
+    """The union of the blocks' commutants and the set of their sizes, -1 for a block its commutant misses.
+
+    A block is a list of row keys; its commutant is the points perpendicular
+    to every row, the block itself exactly when it is maximal isotropic.
+    """
+    points = perps[0]
+    covered = 0
+    sizes = set()
+    for block in blocks:
+        commutant = points
+        rows = 0  # the block's rows as points
+        for key in block:
+            commutant &= perps[key]
+            rows |= bits[key]
+        covered |= commutant
+        sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
+    return covered, sizes
+
+
 def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     """Recount everything the formulas predict, by actual enumeration.
 
@@ -56,35 +81,18 @@ def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:
     bits = [1 << key >> 1 for key in range(len(perps))]  # point k as bit k - 1; 0 for key 0
 
     points = perps[0]
-    covered = 0  # eq1: the points on some enumerated generator
-    sizes = set()
-    for g in gens:
-        commutant = points  # the points perpendicular to every row: g itself when g is maximal isotropic
-        rows = 0  # g's rows as points
-        for key in g:
-            commutant &= perps[key]
-            rows |= bits[key]
-        covered |= commutant
-        sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
-    size_actual = sizes.pop() if len(sizes) == 1 else -1
+    covered, sizes = _scan(gens, perps, bits)
     checks.append(Check("eq1_point_count", p.point_count, covered.bit_count()))
     checks.append(Check("eq2_generator_count", p.generator_count, len(gens)))
-    checks.append(Check("eq4_generator_size", p.generator_size, size_actual))
+    checks.append(Check("eq4_generator_size", p.generator_size, sizes.pop() if len(sizes) == 1 else -1))
 
-    blocks = 0  # eq3: the field-plane blocks, each a generator, partition the points
-    partition = 0
-    for rows in _field_plane_rows(n_qubits):
-        keys = _reduce(rows)
-        commutant = points
-        for key in keys:
-            commutant &= perps[key]
-        span = sum(bits[key] for key in _span_keys(keys))  # reduced rows are independent: distinct keys
-        if commutant != span or partition & span:  # a subspace is its own commutant exactly when it is a generator
-            blocks = -1
-            break
-        partition |= span
-        blocks += 1
-    checks.append(Check("eq3_spread_partition", p.spread_size, blocks if partition == points else -1))
+    # a set of rows has its span's commutant, so each block with 2^N - 1 commutant
+    # points is a generator; their sizes add up to their union's exactly when they
+    # are pairwise disjoint
+    blocks = _field_plane_rows(n_qubits)
+    covered, sizes = _scan(blocks, perps, bits)
+    spread = sizes == {p.generator_size} and covered == points and covered.bit_count() == len(blocks) * p.generator_size
+    checks.append(Check("eq3_spread_partition", p.spread_size, len(blocks) if spread else -1))
 
     censuses = {(points ^ perp).bit_count() for perp in perps[1:]}
     census_actual = censuses.pop() if len(censuses) == 1 else -1

@@ -141,8 +141,14 @@ XI_ZI = [pauli_to_vector("XI").key, pauli_to_vector("ZI").key]  # rank 2, but X1
 
 @pytest.mark.parametrize(
     "broken",
-    [lambda rows: [rows[0], rows[0], *rows[2:]], lambda rows: [XI_ZI, *rows[1:]], lambda rows: rows[:-1]],
-    ids=["overlap", "not_a_generator", "no_cover"],
+    [
+        lambda rows: [rows[0], rows[0], *rows[2:]],
+        lambda rows: [XI_ZI, *rows[1:]],
+        lambda rows: rows[:-1],
+        lambda rows: [[rows[0][0]] * 2, *rows[1:]],  # rank 1: its commutant is larger than a generator
+        lambda rows: [*rows, rows[0]],  # covers every point, but not disjointly
+    ],
+    ids=["overlap", "not_a_generator", "no_cover", "dependent_rows", "repeated_block"],
 )
 def test_eq3_fails_when_the_field_plane_blocks_are_not_a_spread(capsys, monkeypatch, broken):
     rows = _field_plane_rows(2)

@@ -29,8 +29,8 @@ from qpolar import (
     trace,
 )
 from qpolar.errors import CAPS
-from qpolar.geometry import _exact_covers, _field_plane_rows, _spread_covers
-from qpolar.gf2 import _perp_mask, _reduce
+from qpolar.geometry import _exact_covers, _field_plane_rows, _generator_bases, _spread_covers
+from qpolar.gf2 import _perp_mask, _perp_masks, _reduce, _span_keys
 
 
 @pytest.mark.parametrize(
@@ -281,6 +281,26 @@ def test_field_plane_rows_reduce_to_the_desarguesian_blocks(n):
     assert sorted(tuple(_reduce(rows)) for rows in _field_plane_rows(n)) == sorted(
         b.keys for b in desarguesian_spread(n).blocks
     )
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [*((n, _field_plane_rows) for n in range(1, 6)), *((n, _generator_bases) for n in range(1, 5))],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_block_commutant_is_its_span(n, blocks):
+    # verify's generator rule: a block's commutant on the mask table, whether
+    # taken over its unreduced rows or its reduced ones, is its own span
+    perps = _perp_masks(n)
+    for rows in blocks(n):
+        keys = _reduce(rows)
+        span = sum(1 << key - 1 for key in _span_keys(keys))
+        assert span.bit_count() == 2**n - 1
+        for basis in (rows, keys):
+            commutant = perps[0]
+            for key in basis:
+                commutant &= perps[key]
+            assert commutant == span
 
 
 def test_field_plane_rows_capacity_matches_the_spread():

@@ -1,0 +1,36 @@
+"""Every name a package module imports is read somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qpolar
+
+MODULES = sorted(p for p in Path(qpolar.__file__).parent.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, except on a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if "# noqa: F401" not in lines[node.lineno - 1]:
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.partition(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_flags_an_unread_name():
+    source = "from .gf2 import _perp_masks, _reduce\nimport os.path\n\nmasks = _perp_masks(2)\n"
+    assert unused_imports(source) == ["_reduce", "os"]
+    assert unused_imports(source.replace("\nimport os.path", "  # noqa: F401\nimport os.path")) == ["os"]
+    assert unused_imports(source + "os.path.join(_reduce)\n") == []
