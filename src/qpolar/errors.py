@@ -33,16 +33,17 @@ class CapacityError(QPolarError):
 # field modulus (desarguesian_spread(5): about 0.003 s).
 CAPS = {
     "qubit count": 12,  # x and z halves of one 24-bit key; perp_census of an N=12 point: about 7 ms
-    # enumerate_generators(4): about 0.0055 s for 2,295 subspaces, 0.003 s of it
-    # the key tuples of geometry._generator_bases; N=5 would take 0.18-0.23 s for
-    # 75,735, 0.085 s as key tuples (three runs of seven, with this entry raised to
-    # 5).  generators 4 --format json: 0.012-0.015 s in-process (median of 21, five
-    # runs): about 20 % the key tuples, 35-50 % rendering the 34,425 words, about a
-    # fifth JSON, the rest argument parsing and output
+    # enumerate_generators(4): 0.004-0.007 s for 2,295 subspaces, 0.002-0.003 s of
+    # it the key tuples of geometry._generator_bases (median of seven, ten runs);
+    # N=5 would take 0.21-0.25 s for 75,735, 0.085-0.12 s as key tuples (three runs
+    # of seven, with this entry raised to 5).  generators 4 --format json:
+    # 0.012-0.015 s in-process (median of 21, five runs): about 20 % the key
+    # tuples, 35-50 % rendering the 34,425 words, about a fifth JSON, the rest
+    # argument parsing and output
     "generator enumeration": 4,
-    # enumerate_spreads(3): 0.010-0.013 s for all 960 spreads (median of 11, four
+    # enumerate_spreads(3): 0.0065-0.012 s for all 960 spreads (median of 11, ten
     # runs), nearly all of it the cover search, as search results are built
-    # without re-validation; enumerate_spreads(3, limit=1): about 1.6-1.9 ms.
+    # without re-validation; enumerate_spreads(3, limit=1): about 0.9-1.8 ms.
     # spread 3 --method search --all through cli.main: 0.007-0.011 s, 0.012-0.016 s
     # with --format json (median of 21, three runs), each of the 135 generators
     # rendered once and indexed per spread
@@ -91,12 +92,25 @@ class _Value:
     qpolar`` loading ``dataclasses``, the modules that pulls in, and its
     generated methods.  The generic ``__init__`` takes every field;
     constructors that validate define their own.
+
+    Fields are written in one place, ``__setstate__``, through the
+    class's slot setters: every constructor and unpickling end in it.
+    ``_unchecked`` builds a value from fields the package already knows
+    are valid, without running a constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._astuple = attrgetter(*cls.__slots__)  # not a descriptor: called as self._astuple(self)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """The value of these fields, in slot order, without validation."""
+        value = object.__new__(cls)
+        value.__setstate__(fields)
+        return value
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
@@ -127,5 +141,5 @@ class _Value:
         return self._astuple(self)
 
     def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, state):
+            setter(self, value)

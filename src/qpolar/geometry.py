@@ -65,6 +65,7 @@ reports them without claiming an independent recount.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from operator import or_
 
 from . import gf2n
@@ -111,7 +112,7 @@ def enumerate_generators(n_qubits: int) -> list[Subspace]:
     is the graph of a symmetric form over its x-projection, built from
     that parametrisation (see the module docstring) without a search.
     """
-    return [Subspace._from_keys(n_qubits, keys) for keys in _generator_bases(n_qubits)]
+    return list(map(Subspace._unchecked, repeat(n_qubits), _generator_bases(n_qubits)))
 
 
 def _generator_bases(n_qubits: int) -> list[tuple[int, ...]]:
@@ -183,22 +184,16 @@ class Spread(_Value):
     block set does not construct; the blocks are then put in canonical
     order, by each block's smallest point.  That point is the last RREF
     row: a combination with any other row leads at a higher bit.
+    ``Spread._unchecked(n, blocks)`` takes blocks already a spread, in
+    canonical order, and checks nothing.
     """
 
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: tuple[Subspace, ...]) -> None:
-        super().__init__(n, blocks)
+        self.__setstate__((n, blocks))
         self.validate()
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.keys[-1])))
-
-    @classmethod
-    def _from_blocks(cls, n: int, blocks: tuple[Subspace, ...]) -> "Spread":
-        """The spread of blocks already known to partition the points, in canonical order; unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "blocks", blocks)
-        return s
+        self.__setstate__((n, tuple(sorted(blocks, key=lambda b: b.keys[-1]))))
 
     def validate(self) -> None:
         """Re-check every spread invariant; raises DomainError on violation."""
@@ -351,8 +346,8 @@ def enumerate_spreads(n_qubits: int, limit: int | None = None) -> list[Spread]:
     checking Spread constructor.
     """
     bases, covers = _spread_covers(n_qubits, limit)
-    generators = [Subspace._from_keys(n_qubits, keys) for keys in bases]
-    return [Spread._from_blocks(n_qubits, tuple(generators[i] for i in cover)) for cover in covers]
+    generators = list(map(Subspace._unchecked, repeat(n_qubits), bases))
+    return [Spread._unchecked(n_qubits, tuple(map(generators.__getitem__, cover))) for cover in covers]
 
 
 class GQReport(_Value):

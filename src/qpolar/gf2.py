@@ -63,9 +63,7 @@ class SymplecticVector(_Value):
             raise DomainError(f"x/z parts must be integers, got {x!r} and {z!r}")
         if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
             raise DomainError(f"x/z parts must be {n}-bit values")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        self.__setstate__((n, x, z))
 
     @classmethod
     def from_bits(cls, x_bits: str, z_bits: str) -> "SymplecticVector":
@@ -172,6 +170,8 @@ class Subspace(_Value):
     Canonical form means value equality coincides with subspace
     equality.  ``Subspace(n, basis)`` checks that ``_reduce`` leaves the
     basis unchanged; build from any other basis through :func:`rref`.
+    ``Subspace._unchecked(n, keys)`` takes keys already reduced, by
+    descending leading bit, and checks nothing.
     """
 
     __slots__ = ("n", "keys")
@@ -197,16 +197,7 @@ class Subspace(_Value):
             raise DomainError("basis pivots must strictly increase")
         if _reduce(keys) != keys:  # rows with distinct pivots are independent: only reduction differs
             raise DomainError("basis is not fully reduced")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "keys", tuple(keys))
-
-    @classmethod
-    def _from_keys(cls, n: int, keys: tuple[int, ...]) -> "Subspace":
-        """The subspace of keys already in reduced form, by descending leading bit; unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "keys", keys)
-        return s
+        self.__setstate__((n, tuple(keys)))
 
     @property
     def basis(self) -> tuple[SymplecticVector, ...]:
@@ -252,7 +243,7 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
         raise DimensionMismatch("empty input needs an explicit n_qubits")
     check_cap("qubit count", n)
 
-    return Subspace._from_keys(n, tuple(_reduce(rows)))
+    return Subspace._unchecked(n, tuple(_reduce(rows)))
 
 
 def _reduce(rows: Iterable[int]) -> list[int]:

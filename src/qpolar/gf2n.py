@@ -52,8 +52,7 @@ class FieldElement(_Value):
             raise DomainError(f"bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << n):
             raise DomainError(f"coefficients must fit in {n} bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
+        self.__setstate__((n, bits))
 
     def __xor__(self, other: "FieldElement") -> "FieldElement":
         check_type(other, FieldElement, "FieldElement ^")

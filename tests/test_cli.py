@@ -111,15 +111,15 @@ def test_eq1_counts_the_points_on_the_enumerated_generators(monkeypatch):
 
 
 def test_generators_stay_key_tuples_inside_the_package(capsys, monkeypatch):
-    # the package makes its own Subspaces through _from_keys; generators and the
+    # the package makes its own Subspaces through _unchecked; generators and the
     # field-plane spread blocks are key tuples inside, so verify 4 builds neither
     # a Subspace nor a vector
     built = []
-    from_keys = Subspace._from_keys.__func__
+    unchecked = Subspace._unchecked.__func__
 
     def counting(cls, n, keys):
         built.append(keys)
-        return from_keys(cls, n, keys)
+        return unchecked(cls, n, keys)
 
     vectors = []
     vector_init = SymplecticVector.__init__
@@ -128,7 +128,7 @@ def test_generators_stay_key_tuples_inside_the_package(capsys, monkeypatch):
         vectors.append((x, z))
         vector_init(self, n, x, z)
 
-    monkeypatch.setattr(Subspace, "_from_keys", classmethod(counting))
+    monkeypatch.setattr(Subspace, "_unchecked", classmethod(counting))
     monkeypatch.setattr(SymplecticVector, "__init__", counting_init)
     assert run_verification(4).overall
     assert (built, vectors) == ([], [])

@@ -1,4 +1,4 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module, and only errors writes value fields."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import qpolar
 
-MODULES = sorted(p for p in Path(qpolar.__file__).parent.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+PACKAGE = sorted(Path(qpolar.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +35,15 @@ def test_unused_import_check_flags_an_unread_name():
     assert unused_imports(source) == ["_reduce", "os"]
     assert unused_imports(source.replace("\nimport os.path", "  # noqa: F401\nimport os.path")) == ["os"]
     assert unused_imports(source + "os.path.join(_reduce)\n") == []
+
+
+def test_only_errors_writes_past_a_frozen_value():
+    # errors._Value.__setstate__ and _unchecked are the one write path for value fields
+    def bypasses(path):
+        return any(
+            isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    assert [path.name for path in PACKAGE if bypasses(path)] == ["errors.py"]
