@@ -1,4 +1,10 @@
-"""Exception types, the table of size caps, and the value base shared across the package."""
+"""Exception types, the table of size caps, the argument rules, and the value base shared across the package.
+
+The argument rules are written once here, for every module to call:
+``_is_int`` (an int that is not a ``bool``), ``_iterate`` (an iterator,
+or DomainError naming the type of a non-iterable), ``check_cap`` (a
+positive integer count within its cap) and ``check_type``.
+"""
 
 from operator import attrgetter
 
@@ -21,6 +27,14 @@ class IdentityWordError(QPolarError):
 
 class CapacityError(QPolarError):
     """An enumeration or oracle was requested above its supported size cap."""
+
+
+class NotABasisError(QPolarError):
+    """The supplied field elements do not form a basis."""
+
+
+class DomainError(QPolarError):
+    """Structured input violates an operation's precondition (e.g. not isotropic, not a generator)."""
 
 
 # Every independent size cap, with its measured cost at the cap (CPython 3.11,
@@ -57,9 +71,22 @@ CAPS = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool, the one integer rule."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
+def _iterate(values: object, message: str):
+    """An iterator over ``values``; DomainError "<message>, got <type>" if it is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise DomainError(f"{message}, got {type(values).__name__}") from None
+
+
 def check_cap(what: str, n: int, detail: str = "") -> None:
     """Raise DimensionMismatch unless n is a non-bool int >= 1; above ``CAPS[what]``, the error its name decides."""
-    if not isinstance(n, int) or n.__class__ is bool:
+    if not _is_int(n):
         raise DimensionMismatch(f"n_qubits must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatch(f"n_qubits must be positive, got {n}")
@@ -73,14 +100,6 @@ def check_type(value: object, cls: type, caller: str) -> None:
     """Raise DomainError naming the type of ``value`` unless it is a ``cls``."""
     if not isinstance(value, cls):
         raise DomainError(f"{caller} takes a {cls.__name__}, got {type(value).__name__}")
-
-
-class NotABasisError(QPolarError):
-    """The supplied field elements do not form a basis."""
-
-
-class DomainError(QPolarError):
-    """Structured input violates an operation's precondition (e.g. not isotropic, not a generator)."""
 
 
 class _Value:

@@ -69,11 +69,12 @@ from itertools import repeat
 from operator import or_
 
 from . import gf2n
-from .errors import CapacityError, DomainError, _Value, check_cap, check_type
+from .errors import CapacityError, DomainError, _Value, _is_int, check_cap, check_type
 from .gf2 import (
     Subspace,
     _perp_masks,
     _reduce,
+    _residue,
     _span_keys,
     _vectors,
     is_totally_isotropic,
@@ -145,11 +146,7 @@ def _generator_bases(n_qubits: int) -> list[tuple[int, ...]]:
         for ws in spaces:
             # K = W^perp: each non-pivot bit plus the leads of the rows that have it
             ks = _reduce([q + sum(lead for lead, w in zip(leads, ws) if w & q) for q in others])
-            us = []  # each lead reduced modulo K, as _reduce reduces
-            for u in leads:
-                for k in ks:
-                    u = min(u, u ^ k)
-                us.append(u)
+            us = [_residue(u, ks) for u in leads]  # each lead reduced modulo K's RREF
             # the x-rows' keys and the ranks, over the span of the basis forms
             cols = [[w << n] for w in ws]
             ranks = [sum(rank(key) << s for key, s in zip([w << n for w in ws] + ks, shifts))]
@@ -224,7 +221,7 @@ def _field_plane_rows(n_qubits: int) -> list[list[int]]:
     """desarguesian_spread's blocks as N unreduced row keys each: (d*delta_j | e_j) per d in K, then (e_i | 0)."""
     n = n_qubits
     cap = max(gf2n.MODULI)  # the field plane exists where a modulus is pinned
-    if isinstance(n, int) and n > cap:
+    if _is_int(n) and n > cap:
         raise CapacityError(f"constructed spreads are capped at N<={cap}; N={n} was requested")
     check_cap("qubit count", n)
 
@@ -314,7 +311,7 @@ def _spread_covers(n_qubits: int, limit: int | None) -> tuple[list[tuple[int, ..
     """
     n = n_qubits
     check_cap("spread search", n)
-    if limit is not None and (not isinstance(limit, int) or limit.__class__ is bool):
+    if limit is not None and not _is_int(limit):
         raise DomainError(f"limit must be an integer, got {limit!r}")
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")

@@ -37,10 +37,13 @@ Generators follow one rule: key tuples inside, Subspace at the public
 edge.  The package's own code reads them as these tuples, and
 ``_span_keys`` spans a tuple of row keys, not a Subspace.
 ``_reduce``, the package's one GF(2) row reduction, builds that basis in
-``rref``, decides the checked constructor and ``Subspace.contains``,
-reduces each x-projection's dot-product complement in
-``geometry._generator_bases``, and gives ``gf2n.dual_basis`` its trace
-Gram inverse by reducing [G | I].  verify reduces and spans nothing: a
+``rref``, decides the checked constructor, reduces each x-projection's
+dot-product complement in ``geometry._generator_bases``, and gives
+``gf2n.dual_basis`` its trace Gram inverse by reducing [G | I].  Its
+step is ``_residue``, one row reduced modulo fully reduced rows, which
+is 0 exactly when the row lies in their span: ``Subspace.contains``
+tests that, and ``_generator_bases`` reduces each leading bit modulo
+the complement with it.  verify reduces and spans nothing: a
 set of rows has its span's commutant, so it checks each block, generator
 or field-plane line, by the AND of its rows' ``_perp_masks`` entries.
 """
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, check_cap, check_type
+from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, _is_int, _iterate, check_cap, check_type
 
 
 class SymplecticVector(_Value):
@@ -59,7 +62,7 @@ class SymplecticVector(_Value):
 
     def __init__(self, n: int, x: int, z: int) -> None:
         check_cap("qubit count", n)
-        if not isinstance(x, int) or x.__class__ is bool or not isinstance(z, int) or z.__class__ is bool:
+        if not _is_int(x) or not _is_int(z):
             raise DomainError(f"x/z parts must be integers, got {x!r} and {z!r}")
         if not 0 <= x < (1 << n) or not 0 <= z < (1 << n):
             raise DomainError(f"x/z parts must be {n}-bit values")
@@ -178,12 +181,8 @@ class Subspace(_Value):
 
     def __init__(self, n: int, basis: Iterable[SymplecticVector]) -> None:
         check_cap("qubit count", n)
-        try:
-            basis = iter(basis)
-        except TypeError:
-            raise DomainError(f"a subspace basis must be iterable, got {type(basis).__name__}") from None
         keys = []
-        for row in basis:
+        for row in _iterate(basis, "a subspace basis must be iterable"):
             if not isinstance(row, SymplecticVector):
                 raise DomainError(f"a basis row must be a SymplecticVector, got {type(row).__name__}")
             if row.n != n:
@@ -211,7 +210,7 @@ class Subspace(_Value):
         check_type(v, SymplecticVector, "Subspace.contains")
         if v.n != self.n:
             raise DimensionMismatch("vector and subspace qubit counts differ")
-        return _reduce((*self.keys, v.key)) == list(self.keys)
+        return not _residue(v.key, self.keys)
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         """Canonical comparison key: rows ordered pivot-major, then by packed value."""
@@ -225,13 +224,9 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     ``n_qubits`` is only needed when ``vectors`` is empty (the rank-0
     subspace is a valid result, not an error).
     """
-    try:
-        vectors = iter(vectors)
-    except TypeError:
-        raise DomainError(f"rref takes an iterable of SymplecticVectors, got {type(vectors).__name__}") from None
     rows: list[int] = []
     n = n_qubits
-    for v in vectors:
+    for v in _iterate(vectors, "rref takes an iterable of SymplecticVectors"):
         if not isinstance(v, SymplecticVector):
             raise DomainError(f"rref takes SymplecticVectors, got {type(v).__name__}")
         if n is None:
@@ -246,14 +241,19 @@ def rref(vectors: Iterable[SymplecticVector], n_qubits: int | None = None) -> Su
     return Subspace._unchecked(n, tuple(_reduce(rows)))
 
 
+def _residue(row: int, reduced: Iterable[int]) -> int:
+    """``row`` reduced modulo fully reduced rows sorted by descending leading bit; 0 iff in their span."""
+    # an xor with a reduced row is smaller exactly when it clears that row's pivot
+    for piv in reduced:
+        row = min(row, row ^ piv)
+    return row
+
+
 def _reduce(rows: Iterable[int]) -> list[int]:
     """The fully reduced nonzero rows spanning ``rows``, by descending leading bit."""
-    # kept fully reduced and sorted by descending leading bit; an xor with a
-    # reduced row is smaller exactly when it clears that row's pivot
-    reduced: list[int] = []
+    reduced: list[int] = []  # kept fully reduced and sorted by descending leading bit
     for row in rows:
-        for piv in reduced:
-            row = min(row, row ^ piv)
+        row = _residue(row, reduced)
         if row:
             reduced = [min(piv, piv ^ row) for piv in reduced]
             reduced.append(row)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .errors import DimensionMismatch, DomainError, NotABasisError, _Value, check_type
+from .errors import DimensionMismatch, DomainError, NotABasisError, _Value, _is_int, _iterate, check_type
 from .gf2 import _reduce
 
 MODULI = {
@@ -37,7 +37,7 @@ MODULI = {
 
 
 def _check_degree(n: int) -> None:
-    if not isinstance(n, int) or n.__class__ is bool or n not in MODULI:  # 2.0 and True would match a key
+    if not _is_int(n) or n not in MODULI:  # 2.0 and True would match a key
         raise DimensionMismatch(f"supported extension degrees are {sorted(MODULI)}, got {n}")
 
 
@@ -48,7 +48,7 @@ class FieldElement(_Value):
 
     def __init__(self, n: int, bits: int) -> None:
         _check_degree(n)
-        if not isinstance(bits, int) or bits.__class__ is bool:
+        if not _is_int(bits):
             raise DomainError(f"bits must be an integer, got {bits!r}")
         if not 0 <= bits < (1 << n):
             raise DomainError(f"coefficients must fit in {n} bits")
@@ -131,10 +131,7 @@ def dual_basis(primal: list[FieldElement]) -> tuple[FieldElement, ...]:
     test_dual_basis_matches_definition_* checks Tr(primal_i * delta_j) =
     [i == j] against a brute-force search, so it is not re-checked here.
     """
-    try:
-        primal = tuple(primal)
-    except TypeError:
-        raise DomainError(f"dual_basis takes an iterable of FieldElements, got {type(primal).__name__}") from None
+    primal = tuple(_iterate(primal, "dual_basis takes an iterable of FieldElements"))
     for e in primal:
         if not isinstance(e, FieldElement):
             raise DomainError(f"dual_basis takes FieldElements, got {type(e).__name__}")

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import product as _product
 from operator import xor
 
-from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, check_cap, check_type
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, _is_int, check_cap, check_type
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_masks, _span_keys, _swap_halves, _vectors
 
@@ -203,7 +203,7 @@ class ExactMatrix(_Value):
         _check_rows(dim)
         for row in re + im:
             for v in row:
-                if not isinstance(v, int) or v.__class__ is bool:
+                if not _is_int(v):
                     raise DomainError(f"matrix entries must be integers, got {v!r}")
         nonzero = [[(j, e) for j, e in enumerate(zip(*parts)) if e != (0, 0)] for parts in zip(re, im)]
         units = [row[0] for row in nonzero if len(row) == 1 and row[0][1] in _UNITS]

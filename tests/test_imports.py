@@ -1,4 +1,4 @@
-"""Every name a package module imports is read somewhere in that module, and only errors writes value fields."""
+"""Every name a package module imports is read somewhere in that module, and only errors writes value fields or excludes bool."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,16 @@ def test_only_errors_writes_past_a_frozen_value():
         )
 
     assert [path.name for path in PACKAGE if bypasses(path)] == ["errors.py"]
+
+
+def test_only_errors_excludes_bool_from_the_integers():
+    # errors._is_int is the one home of the rule that a bool is not an integer
+    def excludes_bool(path):
+        return any(
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(side, ast.Name) and side.id == "bool" for side in [node.left, *node.comparators])
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    assert [path.name for path in PACKAGE if excludes_bool(path)] == ["errors.py"]

@@ -117,6 +117,7 @@ WORD_ENTRY_POINTS = {
     "pauli_matrix": pauli_matrix,
     "commutes": lambda word: commutes(word, "XY"),
     "commutes_matrix": lambda word: commutes_matrix(word, "XY"),
+    "commutes_matrix second word": lambda word: commutes_matrix("XY", word),
 }
 
 

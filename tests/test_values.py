@@ -113,6 +113,7 @@ def test_record_constructor_takes_exactly_its_fields(cls):
     (lambda: desarguesian_spread(None), DimensionMismatch),
     # a bool is an int subclass, refused wherever an integer is checked
     (lambda: enumerate_spreads(True), DimensionMismatch),
+    (lambda: desarguesian_spread(True), DimensionMismatch),
     (lambda: params(True), DimensionMismatch),
     (lambda: Subspace(True, []), DimensionMismatch),
     (lambda: SymplecticVector(2, True, 0), DomainError),
@@ -121,8 +122,8 @@ def test_record_constructor_takes_exactly_its_fields(cls):
     (lambda: ExactMatrix(((1.0, 0), (0, True)), ((0, 0), (0, 0))), DomainError),
     (lambda: ExactMatrix(((0, 0), (0, 0)), ((True, 0), (0, 1))), DomainError),
 ], ids=["rref n", "subspace n", "vector x", "field bits", "spread limit", "field plane str", "field plane float",
-        "field plane none", "spread search bool", "params bool", "subspace bool", "vector x bool", "field bits bool",
-        "spread limit bool", "matrix entry float", "matrix entry bool"])
+        "field plane none", "spread search bool", "field plane bool", "params bool", "subspace bool", "vector x bool",
+        "field bits bool", "spread limit bool", "matrix entry float", "matrix entry bool"])
 def test_validating_constructors_reject_non_integers(build, error):
     with pytest.raises(error, match="must be (an )?integers?, got"):
         build()
