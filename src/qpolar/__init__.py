@@ -10,61 +10,14 @@ each of those objects, and cross-checks the whole dictionary against
 exact Gaussian-integer matrices.
 """
 
-from .errors import (
-    CAPS,
-    CapacityError,
-    DimensionMismatch,
-    DomainError,
-    IdentityWordError,
-    NotABasisError,
-    QPolarError,
-    ZeroVectorError,
-)
-from .gf2 import (
-    Subspace,
-    SymplecticVector,
-    all_points,
-    is_totally_isotropic,
-    perp_census,
-    rref,
-    span_points,
-    sp_form,
-)
-from .gf2n import (
-    MODULI,
-    FieldElement,
-    dual_basis,
-    elements,
-    fmul,
-    one,
-    polynomial_basis,
-    trace,
-    zero,
-)
-from .geometry import (
-    GQReport,
-    PolarSpaceParams,
-    Spread,
-    desarguesian_spread,
-    enumerate_generators,
-    enumerate_spreads,
-    gq22_structure_check,
-    is_maximal_isotropic,
-    params,
-)
-from .pauli import (
-    ExactMatrix,
-    all_words,
-    commutation_sweep,
-    commutes,
-    commutes_matrix,
-    mcs_of_generator,
-    pauli_matrix,
-    pauli_to_vector,
-    validate_word,
-    vector_to_pauli,
-)
-from .verify import Check, VerificationReport, run_verification
+# each module's __all__ is its public surface, and the package re-exports them all
+from . import errors, gf2, gf2n, geometry, pauli, verify
+from .errors import *
+from .gf2 import *
+from .gf2n import *
+from .geometry import *
+from .pauli import *
+from .verify import *
 
 __version__ = "0.1.0"
 
@@ -79,55 +32,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CAPS",
-    "CapacityError",
-    "Check",
-    "DimensionMismatch",
-    "DomainError",
-    "ExactMatrix",
-    "FieldElement",
-    "GQReport",
-    "IdentityWordError",
-    "MODULI",
-    "NotABasisError",
-    "PolarSpaceParams",
-    "QPolarError",
-    "Spread",
-    "Subspace",
-    "SymplecticVector",
-    "VerificationReport",
-    "ZeroVectorError",
-    "all_points",
-    "all_words",
-    "canonical_json",
-    "commutation_sweep",
-    "commutes",
-    "commutes_matrix",
-    "desarguesian_spread",
-    "dual_basis",
-    "elements",
-    "enumerate_generators",
-    "enumerate_spreads",
-    "fmul",
-    "gq22_structure_check",
-    "is_maximal_isotropic",
-    "is_totally_isotropic",
-    "main",
-    "mcs_of_generator",
-    "one",
-    "params",
-    "pauli_matrix",
-    "pauli_to_vector",
-    "perp_census",
-    "polynomial_basis",
-    "rref",
-    "run_verification",
-    "span_points",
-    "sp_form",
-    "trace",
-    "validate_word",
-    "vector_to_pauli",
-    "zero",
-    "__version__",
-]
+__all__ = ["canonical_json", "main", "__version__"]
+__all__ += errors.__all__
+__all__ += gf2.__all__
+__all__ += gf2n.__all__
+__all__ += geometry.__all__
+__all__ += pauli.__all__
+__all__ += verify.__all__

@@ -8,6 +8,9 @@ positive integer count within its cap) and ``check_type``.
 
 from operator import attrgetter
 
+__all__ = ["CAPS", "CapacityError", "DimensionMismatch", "DomainError", "IdentityWordError", "NotABasisError",
+           "QPolarError", "ZeroVectorError"]
+
 
 class QPolarError(ValueError):
     """Base class for all qpolar errors."""

@@ -82,6 +82,9 @@ from .gf2 import (
     span_points,
 )
 
+__all__ = ["GQReport", "PolarSpaceParams", "Spread", "desarguesian_spread", "enumerate_generators", "enumerate_spreads",
+           "gq22_structure_check", "is_maximal_isotropic", "params"]
+
 
 class PolarSpaceParams(_Value):
     """The five closed-form counts for a given qubit number."""
@@ -228,10 +231,7 @@ def _field_plane_rows(n_qubits: int) -> list[list[int]]:
     dual = [delta.bits for delta in gf2n.dual_basis(gf2n.polynomial_basis(n))]
     units = [1 << (n - 1 - j) for j in range(n)]  # e_j, qubit 1 at the MSB
 
-    x_parts = [0]  # x_parts[a]: the coefficient of x^i becomes e_i, doubled in once per i
-    for e in units:
-        x_parts += [x | e for x in x_parts]
-
+    x_parts = [0, *_span_keys(units)]  # x_parts[a]: the coefficient of x^i of a becomes e_i
     blocks = [[x_parts[gf2n._mul(d, delta, n)] << n | e for delta, e in zip(dual, units)] for d in range(1 << n)]
     blocks.append([e << n for e in units])
     return blocks

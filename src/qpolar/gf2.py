@@ -25,10 +25,11 @@ package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
 taken per basis pair by ``is_totally_isotropic``, per word pair by
 ``pauli.commutes``, and against one point by ``_perp_mask``, a mask with
 key k as bit k - 1.  The form is bilinear, so non-perpendicular masks
-add under XOR: ``_perp_masks`` list-doubles all 4^N masks from the 2N
-unit keys' masks, the one table read by verify's counts, ``graph``, the
-N=2 audit and ``pauli.commutation_sweep``, which checks it.  Points become
-``SymplecticVector``s only at the public edge, built when asked for.
+add under XOR: ``_perp_masks`` spans all 4^N masks from the 2N unit
+keys' masks with ``_span_keys``, the one table read by verify's counts,
+``graph``, the N=2 audit and ``pauli.commutation_sweep``, which checks
+it.  Points become ``SymplecticVector``s only at the public edge, built
+when asked for.
 
 A Subspace is its reduced row echelon basis with pivots taken left to
 right across (x | z), stored as the rows' packed keys by descending
@@ -53,6 +54,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, DomainError, ZeroVectorError, _Value, _is_int, _iterate, check_cap, check_type
+
+__all__ = ["Subspace", "SymplecticVector", "all_points", "is_totally_isotropic", "perp_census", "rref", "span_points",
+           "sp_form"]
 
 
 class SymplecticVector(_Value):
@@ -144,16 +148,13 @@ def _perp_mask(key: int, n: int) -> int:
 def _perp_masks(n: int) -> list[int]:
     """``_perp_mask(k, n)`` for every key k = 0 .. 4^N - 1; entry 0 is every point.
 
-    Key k with bit b set is key k - 2^b plus the unit key 2^b, so its
-    non-perpendicular mask is the XOR of theirs: doubling the list once
-    per unit key builds all of them, and each is complemented at the end.
+    The form is bilinear, so key k's non-perpendicular mask is the XOR of
+    those of its unit keys 2^b: ``_span_keys`` of the 2N unit masks lists
+    them all in key order, and each is complemented at the end.
     """
     points = (1 << (1 << 2 * n) - 1) - 1  # bit k - 1 for each key k >= 1
-    non_perps = [0]  # non-perpendicular masks of the keys below 2^b
-    for b in range(2 * n):
-        unit = points ^ _perp_mask(1 << b, n)
-        non_perps += [mask ^ unit for mask in non_perps]
-    return [points ^ mask for mask in non_perps]
+    units = [points ^ _perp_mask(1 << b, n) for b in range(2 * n)]
+    return [points ^ mask for mask in [0, *_span_keys(units)]]
 
 
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
@@ -261,7 +262,7 @@ def _reduce(rows: Iterable[int]) -> list[int]:
     return reduced
 
 
-def _span_keys(rows: tuple[int, ...]) -> list[int]:
+def _span_keys(rows: Iterable[int]) -> list[int]:
     """Packed keys of the 2^len(rows) - 1 nonzero vectors spanned by independent row keys (so distinct)."""
     keys = [0]
     for row in rows:

@@ -27,6 +27,8 @@ from collections.abc import Iterator
 from .errors import DimensionMismatch, DomainError, NotABasisError, _Value, _is_int, _iterate, check_type
 from .gf2 import _reduce
 
+__all__ = ["MODULI", "FieldElement", "dual_basis", "elements", "fmul", "one", "polynomial_basis", "trace", "zero"]
+
 MODULI = {
     1: 0b11,
     2: 0b111,

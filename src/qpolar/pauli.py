@@ -41,9 +41,12 @@ from functools import lru_cache
 from itertools import product as _product
 from operator import xor
 
-from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, _is_int, check_cap, check_type
+from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, _is_int, _iterate, check_cap, check_type
 from .geometry import is_maximal_isotropic
 from .gf2 import Subspace, SymplecticVector, _perp_masks, _span_keys, _swap_halves, _vectors
+
+__all__ = ["ExactMatrix", "all_words", "commutation_sweep", "commutes", "commutes_matrix", "mcs_of_generator",
+           "pauli_matrix", "pauli_to_vector", "validate_word", "vector_to_pauli"]
 
 LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -193,10 +196,8 @@ class ExactMatrix(_Value):
     __slots__ = ("rows", "table")
 
     def __init__(self, re, im):
-        try:
-            re, im = tuple(map(tuple, re)), tuple(map(tuple, im))
-        except TypeError as e:  # a part or a row is not iterable; e names its type
-            raise DomainError(f"real and imaginary parts must be tables of rows: {e}") from None
+        tables = "real and imaginary parts must be tables of rows"
+        re, im = [tuple(tuple(_iterate(row, tables)) for row in _iterate(part, tables)) for part in (re, im)]
         dim = len(re)
         if len(im) != dim or any(len(row) != dim for row in re + im):
             raise DomainError("real and imaginary parts must be square and congruent")

@@ -23,6 +23,8 @@ from .geometry import _field_plane_rows, _generator_bases, params
 from .gf2 import _perp_masks
 from .pauli import commutation_sweep
 
+__all__ = ["Check", "VerificationReport", "run_verification"]
+
 
 class Check(_Value):
     """One named count with its closed-formula expectation."""

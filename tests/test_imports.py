@@ -1,6 +1,8 @@
-"""Every name a package module imports is read somewhere in that module, and only errors writes value fields or excludes bool."""
+"""Every name a package module imports is read somewhere in that module, each public name is written once,
+and only errors writes value fields or excludes bool."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,45 @@ def test_only_errors_excludes_bool_from_the_integers():
         )
 
     assert [path.name for path in PACKAGE if excludes_bool(path)] == ["errors.py"]
+
+
+REEXPORTED = ["errors", "gf2", "gf2n", "geometry", "pauli", "verify"]  # in the order __init__ star-imports them
+PUBLIC = {
+    "CAPS", "CapacityError", "Check", "DimensionMismatch", "DomainError", "ExactMatrix", "FieldElement", "GQReport",
+    "IdentityWordError", "MODULI", "NotABasisError", "PolarSpaceParams", "QPolarError", "Spread", "Subspace",
+    "SymplecticVector", "VerificationReport", "ZeroVectorError", "all_points", "all_words", "canonical_json",
+    "commutation_sweep", "commutes", "commutes_matrix", "desarguesian_spread", "dual_basis", "elements",
+    "enumerate_generators", "enumerate_spreads", "fmul", "gq22_structure_check", "is_maximal_isotropic",
+    "is_totally_isotropic", "main", "mcs_of_generator", "one", "params", "pauli_matrix", "pauli_to_vector",
+    "perp_census", "polynomial_basis", "rref", "run_verification", "span_points", "sp_form", "trace", "validate_word",
+    "vector_to_pauli", "zero", "__version__",
+}
+
+
+def test_each_public_name_is_written_once_in_the_module_that_defines_it():
+    lists = []
+    for name in REEXPORTED:
+        module = importlib.import_module(f"qpolar.{name}")
+        assert "__all__" in vars(module), name
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(target.id for target in targets if isinstance(target, ast.Name))
+        imported = {
+            alias.asname or alias.name for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+        }
+        assert set(module.__all__) <= defined - imported - {"__all__"}, name  # bound by def, class or assignment
+        assert all(getattr(qpolar, public) is getattr(module, public) for public in module.__all__)
+        lists += module.__all__
+    assert len(lists) == len(set(lists))  # no name in two modules' lists
+    assert len(qpolar.__all__) == len(set(qpolar.__all__))
+    assert qpolar.__all__ == ["canonical_json", "main", "__version__", *lists]
+    assert set(qpolar.__all__) == PUBLIC
+    namespace = {}
+    exec("from qpolar import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == PUBLIC

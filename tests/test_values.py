@@ -151,6 +151,25 @@ def test_constructors_refuse_a_non_iterable(build, message):
     assert str(err.value) == message
 
 
+def _raises_after(item):
+    """A generator that yields ``item`` and then raises its own TypeError."""
+    yield item
+    raise TypeError("own")
+
+
+# a TypeError from inside the caller's iterator is the caller's, never relabelled as DomainError
+@pytest.mark.parametrize("build", [
+    lambda: Subspace(2, _raises_after(SymplecticVector(2, 2, 0))),
+    lambda: rref(_raises_after(SymplecticVector(2, 2, 0))),
+    lambda: dual_basis(_raises_after(FieldElement(2, 1))),
+    lambda: ExactMatrix(_raises_after((1, 0)), ((0, 0), (0, 0))),
+    lambda: ExactMatrix(((1, 0), (0, 1)), (_raises_after(0), (0, 0))),
+], ids=["subspace basis", "rref vectors", "dual basis", "matrix part", "matrix row"])
+def test_a_callers_type_error_passes_through(build):
+    with pytest.raises(TypeError, match="^own$"):
+        build()
+
+
 _POINT = SymplecticVector(1, 1, 0)
 
 
