@@ -21,10 +21,9 @@ For order two this is the same as being joined by a totally isotropic
 line: the line through p and q is {p, q, p + q}, and it is totally
 isotropic iff sp_form(p, q) = 0 (bilinearity gives the form on all
 other pairs).  Tests exercise this equivalence directly.  Inside the
-package the form on packed keys is the parity of ``u & _swap_halves(v, n)``,
-taken per basis pair by ``is_totally_isotropic``, per word pair by
-``pauli.commutes``, and against one point by ``_perp_mask``, a mask with
-key k as bit k - 1.  The form is bilinear, so non-perpendicular masks
+package ``_form`` is the one evaluation of the form on packed keys, and
+``_perp_mask`` reads it to mask a point's perpendicular keys, key k as
+bit k - 1.  The form is bilinear, so non-perpendicular masks
 add under XOR: ``_perp_masks`` spans all 4^N masks from the 2N unit
 keys' masks with ``_span_keys``, the one table read by verify's counts,
 ``graph``, the N=2 audit and ``pauli.commutation_sweep``, which checks
@@ -45,8 +44,9 @@ step is ``_residue``, one row reduced modulo fully reduced rows, which
 is 0 exactly when the row lies in their span: ``Subspace.contains``
 tests that, and ``_generator_bases`` reduces each leading bit modulo
 the complement with it.  verify reduces and spans nothing: a
-set of rows has its span's commutant, so it checks each block, generator
-or field-plane line, by the AND of its rows' ``_perp_masks`` entries.
+set of rows has its span's commutant, so ``_scan``, beside
+``_perp_masks``, checks each block, generator or field-plane line, by
+the AND of its rows' entries.
 """
 
 from __future__ import annotations
@@ -122,26 +122,22 @@ def all_points(n_qubits: int) -> Iterator[SymplecticVector]:
     return _vectors(range(1, 1 << (2 * n_qubits)), n_qubits)
 
 
-def _swap_halves(key: int, n: int) -> int:
-    """The key with its x and z halves exchanged.
-
-    sp_form(u, v) is the parity of ``u.key & _swap_halves(v.key, n)``.
-    """
-    return ((key & ((1 << n) - 1)) << n) | (key >> n)
+def _form(u: int, v: int, n: int) -> int:
+    """sp_form on two packed keys, 0 or 1: the parity of ``u & v`` with v's x and z halves exchanged."""
+    return (u & ((v & ((1 << n) - 1)) << n | v >> n)).bit_count() & 1
 
 
 def _perp_mask(key: int, n: int) -> int:
     """The points perpendicular to point ``key``, itself included: bit k - 1 for key k.
 
     Built by doubling over the 2N key bits: the keys with bit b set pair
-    with the point like the keys below 2^b, flipped when the swapped key
-    has bit b.  That is 2N big-int steps, not a parity test per key.
+    with the point like the keys below 2^b, flipped when the form on 2^b
+    and the point is 1.  That is 2N big-int steps, not a parity test per key.
     """
-    swapped = _swap_halves(key, n)
     mask = 1  # bit k set for each key k < 2^b on which the form vanishes, from key 0
     for b in range(2 * n):
         width = 1 << b
-        mask |= (mask ^ ((1 << width) - 1) if swapped >> b & 1 else mask) << width
+        mask |= (mask ^ ((1 << width) - 1) if _form(1 << b, key, n) else mask) << width
     return mask >> 1
 
 
@@ -155,6 +151,26 @@ def _perp_masks(n: int) -> list[int]:
     points = (1 << (1 << 2 * n) - 1) - 1  # bit k - 1 for each key k >= 1
     units = [points ^ _perp_mask(1 << b, n) for b in range(2 * n)]
     return [points ^ mask for mask in [0, *_span_keys(units)]]
+
+
+def _scan(blocks: list, perps: list[int], bits: list[int]) -> tuple[int, set[int]]:
+    """The union of the blocks' commutants and the set of their sizes, -1 for a block its commutant misses.
+
+    A block is a list of row keys; its commutant is the points perpendicular
+    to every row, the block itself exactly when it is maximal isotropic.
+    """
+    points = perps[0]
+    covered = 0
+    sizes = set()
+    for block in blocks:
+        commutant = points
+        rows = 0  # the block's rows as points
+        for key in block:
+            commutant &= perps[key]
+            rows |= bits[key]
+        covered |= commutant
+        sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
+    return covered, sizes
 
 
 def sp_form(u: SymplecticVector, v: SymplecticVector) -> int:
@@ -280,17 +296,12 @@ def is_totally_isotropic(s: Subspace) -> bool:
     """True iff the form vanishes on the whole subspace.
 
     Bilinearity means checking all basis pairs suffices (and the form is
-    alternating, so diagonal pairs are free).  The form on two keys is
-    the parity of one AND with the other's halves swapped.
+    alternating, so diagonal pairs are free): each row against every row
+    above it.
     """
     check_type(s, Subspace, "is_totally_isotropic")
     n, keys = s.n, s.keys
-    for i in range(1, len(keys)):  # each row against every row above it
-        swapped = _swap_halves(keys[i], n)
-        for u in keys[:i]:
-            if (swapped & u).bit_count() & 1:
-                return False
-    return True
+    return not any(_form(u, v, n) for i, v in enumerate(keys) for u in keys[:i])
 
 
 def perp_census(p: SymplecticVector) -> tuple[int, int]:

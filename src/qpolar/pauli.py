@@ -43,7 +43,7 @@ from operator import xor
 
 from .errors import CAPS, CapacityError, DimensionMismatch, DomainError, IdentityWordError, ZeroVectorError, _Value, _is_int, _iterate, check_cap, check_type
 from .geometry import is_maximal_isotropic
-from .gf2 import Subspace, SymplecticVector, _perp_masks, _span_keys, _swap_halves, _vectors
+from .gf2 import Subspace, SymplecticVector, _form, _perp_masks, _span_keys, _vectors
 
 __all__ = ["ExactMatrix", "all_words", "commutation_sweep", "commutes", "commutes_matrix", "mcs_of_generator",
            "pauli_matrix", "pauli_to_vector", "validate_word", "vector_to_pauli"]
@@ -143,7 +143,7 @@ def commutes(p: str, q: str) -> bool:
     (n, u), (m, v) = _word_key(p), _word_key(q)
     if n != m:
         raise DimensionMismatch(f"words of length {n} and {m} cannot be compared")
-    return not (u & _swap_halves(v, n)).bit_count() & 1
+    return not _form(u, v, n)
 
 
 # i**k for k = 0..3 as (re, im) pairs: the four units of the Gaussian integers
@@ -328,7 +328,9 @@ def mcs_of_generator(g: Subspace) -> list[str]:
     check_type(g, Subspace, "mcs_of_generator")
     if not is_maximal_isotropic(g):
         raise DomainError(f"rank {g.rank} subspace is not a generator (need rank {g.n})")
-    return _keys_to_words(sorted(_span_keys(g.keys)), g.n)
+    # XORs of fully reduced rows order by their highest row, so doubling from the
+    # lowest row up (the keys are stored highest first) lists the span ascending
+    return _keys_to_words(_span_keys(g.keys[::-1]), g.n)
 
 
 def _mcs_words(blocks, n: int) -> list[list[str]]:

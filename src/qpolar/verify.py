@@ -7,8 +7,8 @@ actual.  The ``verify`` subcommand prints the report.
 
 The generator, spread and census counts read ``gf2._perp_masks``, the
 table of every key's perpendicular mask that the oracle sweep checks.
-One scan takes each block of row keys to its commutant on that table,
-the AND of its rows' masks: eq1, eq2 and eq4 scan the enumerated
+gf2's ``_scan`` takes each block of row keys to its commutant on that
+table, the AND of its rows' masks: eq1, eq2 and eq4 scan the enumerated
 generators, eq3 the unreduced field-plane rows of
 ``geometry._field_plane_rows``.  A block is a generator when its
 commutant holds its rows and has 2^N - 1 points, so nothing is reduced
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import _Value
 from .geometry import _field_plane_rows, _generator_bases, params
-from .gf2 import _perp_masks
+from .gf2 import _perp_masks, _scan
 from .pauli import commutation_sweep
 
 __all__ = ["Check", "VerificationReport", "run_verification"]
@@ -47,26 +47,6 @@ class VerificationReport(_Value):
     @property
     def overall(self) -> bool:
         return all(c.ok for c in self.checks)
-
-
-def _scan(blocks: list, perps: list[int], bits: list[int]) -> tuple[int, set[int]]:
-    """The union of the blocks' commutants and the set of their sizes, -1 for a block its commutant misses.
-
-    A block is a list of row keys; its commutant is the points perpendicular
-    to every row, the block itself exactly when it is maximal isotropic.
-    """
-    points = perps[0]
-    covered = 0
-    sizes = set()
-    for block in blocks:
-        commutant = points
-        rows = 0  # the block's rows as points
-        for key in block:
-            commutant &= perps[key]
-            rows |= bits[key]
-        covered |= commutant
-        sizes.add(commutant.bit_count() if commutant & rows == rows else -1)
-    return covered, sizes
 
 
 def run_verification(n_qubits: int, oracle: bool = False) -> VerificationReport:

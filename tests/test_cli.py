@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output shapes, exit codes, JSON round-trips."""
 
+import ast
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qpolar
-from qpolar import canonical_json, enumerate_spreads, mcs_of_generator, pauli_to_vector, rref, run_verification
+from qpolar import all_words, canonical_json, enumerate_spreads, mcs_of_generator, pauli_to_vector, rref, run_verification
 from qpolar import cli
 from qpolar.cli import main
 from qpolar.geometry import _field_plane_rows, _generator_bases
@@ -436,15 +437,43 @@ def test_help_still_exits_zero(capsys):
         assert (code, err) == (0, "") and out.startswith("usage: qpolar")
 
 
-def test_readme_cli_examples_exit_0_with_empty_stderr(capsys):
+def readme_block(heading, language):
+    """The first fenced block under README's ``## heading``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return re.search(rf"^## {heading}\n\n```{language}\n(.*?)^```", readme, re.M | re.S).group(1)
+
+
+def test_readme_cli_examples_exit_0_with_empty_stderr(capsys):
+    block = readme_block("CLI", "sh")
     argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
     examples = [argv for argv in argvs if argv[:1] == ["qpolar"]]
     assert examples
     for argv in examples:
         code, _, err = run(capsys, *argv[1:])
         assert (code, err) == (0, ""), shlex.join(argv)
+
+
+def test_readme_library_example_does_what_its_comments_say(capsys):
+    # each top-level statement runs in turn; a commented expression's value, or an
+    # assignment's, must be what its comment starts with
+    block = readme_block("Library", "python")
+    lines = block.splitlines()
+    namespace, claims = {}, []
+    for node in ast.parse(block).body:
+        comment = lines[node.lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            value = namespace[node.targets[0].id] if isinstance(node, ast.Assign) else None
+        if comment:
+            assert re.match(re.escape(repr(value)) + r"(?!\w)", comment), lines[node.lineno - 1]
+            claims.append(repr(value))
+    assert claims == ["SymplecticVector(n=2, x=2, z=3)", "True", "True", "135", "6"]
+    # the loop's comment: 5 disjoint MCSs covering all 15 operators
+    mcss = [ast.literal_eval(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(mcss) == 5
+    assert sorted(word for mcs in mcss for word in mcs) == list(all_words(2))[1:]
 
 
 def _env_with_src():

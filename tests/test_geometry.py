@@ -168,7 +168,7 @@ def test_generator_count_at_n5_by_enumeration(monkeypatch):
     # every basis is 5 independent rows, pairwise perpendicular
     perps = [_perp_mask(key, 5) for key in range(1 << 10)]
     for g in gens:
-        rows = [row.key for row in g.basis]
+        rows = g.keys
         assert len({key.bit_length() for key in rows}) == 5  # distinct leading bits
         common = perps[rows[0]] & perps[rows[1]] & perps[rows[2]] & perps[rows[3]] & perps[rows[4]]
         assert all(common >> (key - 1) & 1 for key in rows), g

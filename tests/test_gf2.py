@@ -21,7 +21,7 @@ from qpolar import (
     sp_form,
 )
 from qpolar import cli, geometry, gf2, pauli, verify
-from qpolar.gf2 import _perp_mask, _perp_masks, _swap_halves
+from qpolar.gf2 import _form, _perp_mask, _perp_masks
 from qpolar.pauli import all_words, pauli_to_vector, vector_to_pauli
 
 SEED = 20260826
@@ -365,12 +365,12 @@ def test_perp_census_matches_sp_form_scan():
 
 
 def test_swapped_key_parity_is_the_form():
-    # the perpendicular mask, which every key-level use of the form reads, is built from this key
+    # _form is every key-level evaluation of the form, the perpendicular mask's included
     for n in (1, 2, 3):
         vecs = [SymplecticVector(n, key >> n, key & ((1 << n) - 1)) for key in range(1 << (2 * n))]
         for u in vecs:
             for v in vecs:
-                assert (u.key & _swap_halves(v.key, n)).bit_count() & 1 == sp_form(u, v)
+                assert _form(u.key, v.key, n) == sp_form(u, v)
         for u in vecs[1:]:
             perp = _perp_mask(u.key, n)
             for v in vecs[1:]:

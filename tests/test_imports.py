@@ -1,5 +1,5 @@
 """Every name a package module imports is read somewhere in that module, each public name is written once,
-and only errors writes value fields or excludes bool."""
+only errors writes value fields or excludes bool, and only gf2 takes a form parity."""
 
 import ast
 import importlib
@@ -62,6 +62,21 @@ def test_only_errors_excludes_bool_from_the_integers():
         )
 
     assert [path.name for path in PACKAGE if excludes_bool(path)] == ["errors.py"]
+
+
+def test_only_gf2_takes_a_form_parity():
+    # gf2._form is the one evaluation of the form on packed keys: no other module
+    # takes a parity ``<call>.bit_count() & 1``
+    def takes_parity(path):
+        return any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Attribute)
+            and node.left.func.attr == "bit_count"
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    assert [path.name for path in PACKAGE if takes_parity(path)] == ["gf2.py"]
 
 
 REEXPORTED = ["errors", "gf2", "gf2n", "geometry", "pauli", "verify"]  # in the order __init__ star-imports them
