@@ -120,8 +120,6 @@ def cmd_generators(args) -> int:
 
 def cmd_spread(args) -> int:
     n = args.n_qubits
-    if args.all and args.limit is not None:
-        raise DomainError("--all and --limit are mutually exclusive")
     if args.method == "desarguesian":
         if args.all or args.limit is not None:
             raise DomainError("--all/--limit apply only to --method search")
@@ -206,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spread", help="print spreads as blocks of operators")
     p.add_argument("n_qubits", type=int)
     p.add_argument("--method", choices=("desarguesian", "search"), default="desarguesian")
-    p.add_argument(
+    count = p.add_mutually_exclusive_group()
+    count.add_argument(
         "--all",
         action="store_true",
         help=f"search: enumerate every spread (N <= {CAPS['spread search']})",
     )
-    p.add_argument("--limit", type=int, metavar="K", help="search: the first K spreads of --all")
+    count.add_argument("--limit", type=int, metavar="K", help="search: the first K spreads of --all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_spread)
 

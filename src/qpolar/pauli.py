@@ -337,14 +337,13 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     """sorted(mcs_of_generator(g)) for each generator in blocks, given as its RREF row keys, over n qubits.
 
     Words come from one table of all 4^N words, so this serves the N the
-    CLI prints, not the qubit cap.  Blocks are rendered a chunk at a time
-    and column by column: row i of every block in the chunk is one column,
-    the 2^n span columns grow by list-doubling as in ``_span_keys``, and
-    each nonzero column is looked up in the table, both by C-level maps.
-    Every block must have n rows, or zip would truncate it.  A chunk holds
-    64 blocks, which bounds the span columns: for N=5's 75,735 generators
-    they would otherwise hold 2.3 million ints at once, and rendering
-    peaked about 91 MB above its input instead of 20 MB (CPython 3.11).
+    CLI prints, not the qubit cap.  Blocks are rendered all at once and
+    column by column: row i of every block is one column, the 2^n span
+    columns grow by list-doubling as in ``_span_keys``, and each nonzero
+    column is looked up in the table, both by C-level maps.  Every block
+    must have n rows, or zip would truncate it.  The largest input a
+    command reaches is ``generators 4``'s 2,295 blocks, so the span columns
+    hold at most about 34,000 ints.
     The blocks come from the package's own enumerators, so none is
     re-checked here; tests/test_geometry.py rebuilds them through the
     checking constructors: every generator at N <= 4
@@ -353,12 +352,8 @@ def _mcs_words(blocks, n: int) -> list[list[str]]:
     (test_desarguesian_spread).
     """
     table = _keys_to_words(range(1 << 2 * n), n)
-    out: list[list[str]] = []
-    for start in range(0, len(blocks), 64):
-        chunk = blocks[start:start + 64]
-        spans = [[0] * len(chunk)]
-        for rows in zip(*chunk):
-            spans += [list(map(xor, span, rows)) for span in spans]
-        del spans[0]  # the zero vector
-        out += map(sorted, zip(*[map(table.__getitem__, span) for span in spans]))
-    return out
+    spans = [[0] * len(blocks)]
+    for rows in zip(*blocks):
+        spans += [list(map(xor, span, rows)) for span in spans]
+    del spans[0]  # the zero vector
+    return list(map(sorted, zip(*[map(table.__getitem__, span) for span in spans])))

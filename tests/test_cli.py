@@ -339,10 +339,18 @@ def test_json_output_is_json_dumps_of_its_parse(capsys, argv):
 
 
 def test_spread_usage_errors(capsys):
-    assert run(capsys, "spread", "2", "--all")[0] == 2  # --all needs search
-    assert run(capsys, "spread", "2", "--method", "search", "--all", "--limit", "2")[0] == 2
-    assert run(capsys, "spread", "6")[0] == 2
-    assert run(capsys, "spread", "4", "--method", "search")[0] == 2
+    for argv in [
+        ["spread", "2", "--all"],  # --all needs search
+        ["spread", "2", "--method", "search", "--all", "--limit", "2"],
+        ["spread", "6"],
+        ["spread", "4", "--method", "search"],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    # argparse keeps a bracketed group on one line however it wraps the usage
+    code, out, _ = run(capsys, "spread", "--help")
+    assert code == 0 and "[--all | --limit K]" in out
 
 
 def test_graph_n1_dot(capsys):

@@ -569,8 +569,8 @@ def test_batch_renderer_matches_mcs_of_generator():
     assert _mcs_words([], 3) == []
 
 
-# the renderer works in chunks of 64 blocks: one block, one short of a chunk,
-# one chunk, one past it, two chunks, one past them, and every N=4 generator
+# prefixes of the N=4 generator list, from one block to all 2,295, each given
+# as a list and as a tuple
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 129, 2295])
 def test_batch_renderer_across_chunk_boundaries(k):
     blocks = enumerate_generators(4)[:k]
